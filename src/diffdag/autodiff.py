@@ -276,13 +276,16 @@ def exp(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
+    # max(x, alpha*x) is the leaky ReLU only for slopes in [0, 1)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"leaky-relu: alpha must lie in [0, 1), got {alpha}")
     x = _as_tensor(x)
 
     def bw(g, node):
         xv, a = node.saved
         return (g * np.where(xv > 0, 1.0, a),)
 
-    return _record("leaky-relu", (x,), np.where(x.value > 0, x.value, alpha * x.value), bw, (x.value, alpha))
+    return _record("leaky-relu", (x,), np.maximum(x.value, alpha * x.value), bw, (x.value, alpha))
 
 
 def absolute(x: Tensor) -> Tensor:
@@ -376,40 +379,38 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     return _record("logsumexp-rows", (x,), lse, bw, (x.value, lse))
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    if axis not in (0, 1):
-        raise DimensionError(f"concat: axis must be 0 or 1, got {axis}")
-    for t in tensors:
-        if t.value.ndim != 2:
-            raise DimensionError(f"concat: need matrices, got shape {t.value.shape}")
-    sizes = [t.value.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def block_matmul(a: Tensor, b: Tensor, blocks: int) -> Tensor:
+    """Block-diagonal matmul ``a @ diag(b_0, ..., b_{blocks-1})``.
+
+    ``a`` is (m, blocks*k) and ``b`` is (blocks*k, p): row block i of ``b``
+    (k x p) maps column block i of ``a`` (m x k) to column block i of the
+    (m, blocks*p) result. The off-diagonal zeros are never formed.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if (
+        a.value.ndim != 2
+        or b.value.ndim != 2
+        or blocks < 1
+        or a.value.shape[1] != b.value.shape[0]
+        or b.value.shape[0] % blocks
+    ):
+        raise DimensionError(
+            f"block-matmul: shapes {a.value.shape} and {b.value.shape} do not split into {blocks} blocks"
+        )
+    m, (rows, p) = a.value.shape[0], b.value.shape
+    k = rows // blocks
+    a3 = a.value.reshape(m, blocks, k).transpose(1, 0, 2)  # (blocks, m, k)
+    b3 = b.value.reshape(blocks, k, p)
 
     def bw(g, node):
-        offs, ax = node.saved
-        if ax == 0:
-            return tuple(g[offs[i] : offs[i + 1], :] for i in range(len(offs) - 1))
-        return tuple(g[:, offs[i] : offs[i + 1]] for i in range(len(offs) - 1))
+        av3, bv3 = node.saved
+        g3 = g.reshape(m, blocks, p).transpose(1, 0, 2)
+        ga = np.matmul(g3, bv3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(m, rows)
+        gb = np.matmul(av3.transpose(0, 2, 1), g3).reshape(rows, p)
+        return ga, gb
 
-    return _record("concat", tuple(tensors), np.concatenate([t.value for t in tensors], axis=axis), bw, (offsets, axis))
-
-
-def slice2d(x: Tensor, r0: int, r1: int, c0: int, c1: int) -> Tensor:
-    x = _as_tensor(x)
-    if x.value.ndim != 2:
-        raise DimensionError(f"slice: need a matrix, got shape {x.value.shape}")
-    n, m = x.value.shape
-    if not (0 <= r0 <= r1 <= n and 0 <= c0 <= c1 <= m):
-        raise DimensionError(f"slice: window [{r0}:{r1}, {c0}:{c1}] outside shape {x.value.shape}")
-
-    def bw(g, node):
-        shape, box = node.saved
-        full = np.zeros(shape)
-        full[box[0] : box[1], box[2] : box[3]] = g
-        return (full,)
-
-    return _record("slice", (x,), x.value[r0:r1, c0:c1].copy(), bw, (x.value.shape, (r0, r1, c0, c1)))
+    out = np.matmul(a3, b3).transpose(1, 0, 2).reshape(m, blocks * p)
+    return _record("block-matmul", (a, b), out, bw, (a3, b3))
 
 
 def straight_through(hard, soft: Tensor) -> Tensor:
@@ -442,8 +443,7 @@ _DISPATCH = {
     "row-normalize": row_normalize,
     "col-normalize": col_normalize,
     "logsumexp-rows": logsumexp_rows,
-    "concat": concat,
-    "slice": slice2d,
+    "block-matmul": block_matmul,
 }
 
 OP_KINDS = tuple(_DISPATCH)
@@ -455,6 +455,4 @@ def forward_op(kind: str, *inputs, **attrs) -> Tensor:
         fn = _DISPATCH[kind]
     except KeyError:
         raise ValueError(f"unknown op kind {kind!r}; valid kinds: {sorted(_DISPATCH)}") from None
-    if kind == "concat":
-        return fn(list(inputs), **attrs)
     return fn(*inputs, **attrs)

@@ -59,7 +59,6 @@ class TrainConfig:
     val_check_every: int = 2
     seed: int = 0
     sinkhorn_iters: int = 20
-    dag_samples_per_step: int = 1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.val_check_every < 1:
             raise ValueError(f"val_check_every must be >= 1, got {self.val_check_every}")
-        if self.dag_samples_per_step < 1:
-            raise ValueError(f"dag_samples_per_step must be >= 1, got {self.dag_samples_per_step}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -90,66 +87,117 @@ class MechanismNet:
 
     Node i's input is the full observation row multiplied by row i of the
     sampled adjacency, so it can only depend on unmasked parents.
+
+    The n networks are stored as six stacked tensors and node i owns block i
+    of each: columns ``i*h:(i+1)*h`` of ``w1`` (n, n*h), ``b1`` and ``b2``
+    (1, n*h); rows ``i*h:(i+1)*h`` of ``w2`` (n*h, h) and ``w3`` (n*h, 1);
+    column i of ``b3`` (1, n). One forward pass then records the same few
+    tape nodes for every n.
     """
 
     def __init__(self, n: int, hidden: int, rng: np.random.Generator):
+        layers = [
+            {
+                "w1": _he_init(rng, n, hidden),
+                "b1": np.zeros((1, hidden)),
+                "w2": _he_init(rng, hidden, hidden),
+                "b2": np.zeros((1, hidden)),
+                "w3": _he_init(rng, hidden, 1),
+                "b3": np.zeros((1, 1)),
+            }
+            for _ in range(n)
+        ]
+        self._stack(n, hidden, layers)
+
+    def _stack(self, n: int, hidden: int, layers: list[dict[str, np.ndarray]]) -> None:
         self.n = n
         self.hidden = hidden
-        self.layers: list[dict[str, Tensor]] = []
-        for _ in range(n):
-            self.layers.append(
-                {
-                    "w1": _he_init(rng, n, hidden),
-                    "b1": Tensor(np.zeros((1, hidden)), requires_grad=True),
-                    "w2": _he_init(rng, hidden, hidden),
-                    "b2": Tensor(np.zeros((1, hidden)), requires_grad=True),
-                    "w3": _he_init(rng, hidden, 1),
-                    "b3": Tensor(np.zeros((1, 1)), requires_grad=True),
-                }
-            )
+
+        def join(key, axis):
+            return Tensor(np.concatenate([layer[key] for layer in layers], axis=axis), requires_grad=True)
+
+        self.w1, self.b1 = join("w1", 1), join("b1", 1)
+        self.w2, self.b2 = join("w2", 0), join("b2", 1)
+        self.w3, self.b3 = join("w3", 0), join("b3", 1)
+        # (A^T @ expand)[k, i*h + j] = A[i, k]: row i of the mask spread over node i's columns
+        self._expand = Tensor(np.kron(np.eye(n), np.ones((1, hidden))))
 
     def parameters(self) -> list[Tensor]:
-        return [t for layer in self.layers for t in layer.values()]
-
-    def forward_node(self, i: int, x: Tensor, mask_row: Tensor) -> Tensor:
-        """Predict column i from a batch ``x`` masked by ``mask_row`` (1 x n)."""
-        b = x.value.shape[0]
-        ones = Tensor(np.ones((b, 1)))
-        masked = ad.mul(x, ad.matmul(ones, mask_row))
-        p = self.layers[i]
-        h = ad.leaky_relu(ad.add(ad.matmul(masked, p["w1"]), ad.matmul(ones, p["b1"])))
-        h = ad.leaky_relu(ad.add(ad.matmul(h, p["w2"]), ad.matmul(ones, p["b2"])))
-        return ad.add(ad.matmul(h, p["w3"]), ad.matmul(ones, p["b3"]))
+        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def forward_all(self, x: Tensor, mask: Tensor) -> Tensor:
-        """Stack the n per-node predictions into a (batch, n) tensor."""
-        cols = [
-            self.forward_node(i, x, ad.slice2d(mask, i, i + 1, 0, self.n)) for i in range(self.n)
-        ]
-        return ad.concat(cols, axis=1)
+        """Predict every column of the batch ``x`` (b x n) at once; column i
+        sees ``x`` through row i of ``mask`` (n x n) only."""
+        ones = Tensor(np.ones((x.value.shape[0], 1)))
+        # (x * a_i) @ W1_i == x @ (diag(a_i) W1_i): mask the weights, not the batch
+        w1 = ad.mul(self.w1, ad.matmul(ad.transpose(mask), self._expand))
+        h = ad.leaky_relu(ad.add(ad.matmul(x, w1), ad.matmul(ones, self.b1)))
+        h = ad.leaky_relu(ad.add(ad.block_matmul(h, self.w2, self.n), ad.matmul(ones, self.b2)))
+        return ad.add(ad.block_matmul(h, self.w3, self.n), ad.matmul(ones, self.b3))
 
     def state(self) -> dict:
-        return {
-            "n": self.n,
-            "hidden": self.hidden,
-            "layers": [{k: t.value.tolist() for k, t in layer.items()} for layer in self.layers],
-        }
+        """Version-1 checkpoint layout: one ``{w1, b1, w2, b2, w3, b3}`` dict per node."""
+        h = self.hidden
+        layers = []
+        for i in range(self.n):
+            block = slice(i * h, (i + 1) * h)
+            layer = {
+                "w1": self.w1.value[:, block],
+                "b1": self.b1.value[:, block],
+                "w2": self.w2.value[block, :],
+                "b2": self.b2.value[:, block],
+                "w3": self.w3.value[block, :],
+                "b3": self.b3.value[:, i : i + 1],
+            }
+            layers.append({k: v.tolist() for k, v in layer.items()})
+        return {"n": self.n, "hidden": self.hidden, "layers": layers}
 
     @classmethod
     def from_state(cls, state: dict) -> "MechanismNet":
+        """Inverse of :meth:`state`; malformed input raises ValueError naming
+        the node and the key at fault."""
+        if not isinstance(state, dict) or not {"n", "hidden", "layers"} <= set(state):
+            got = sorted(state) if isinstance(state, dict) else type(state).__name__
+            raise ValueError(f"mechanism state needs keys n, hidden and layers; got {got}")
+        n, hidden, layers = state["n"], state["hidden"], state["layers"]
+        for name, v in (("n", n), ("hidden", hidden)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"mechanism state: {name} must be a positive integer, got {v!r}")
+        if not isinstance(layers, list) or len(layers) != n:
+            count = len(layers) if isinstance(layers, list) else type(layers).__name__
+            raise ValueError(f"mechanism state: n = {n} but layers holds {count}")
+        shapes = {
+            "w1": (n, hidden),
+            "b1": (1, hidden),
+            "w2": (hidden, hidden),
+            "b2": (1, hidden),
+            "w3": (hidden, 1),
+            "b3": (1, 1),
+        }
+        arrays = []
+        for i, layer in enumerate(layers):
+            if not isinstance(layer, dict) or set(layer) != set(shapes):
+                got = sorted(layer) if isinstance(layer, dict) else type(layer).__name__
+                raise ValueError(f"mechanism state: node {i} has keys {got}, expected {list(shapes)}")
+            node = {}
+            for key, shape in shapes.items():
+                try:
+                    v = np.array(layer[key], dtype=np.float64)
+                except (TypeError, ValueError):
+                    raise ValueError(f"mechanism state: node {i} key {key!r} is not a numeric array") from None
+                if v.shape != shape:
+                    raise ValueError(f"mechanism state: node {i} key {key!r} has shape {v.shape}, expected {shape}")
+                if not np.isfinite(v).all():
+                    raise ValueError(f"mechanism state: node {i} key {key!r} holds non-finite values")
+                node[key] = v
+            arrays.append(node)
         net = cls.__new__(cls)
-        net.n = int(state["n"])
-        net.hidden = int(state["hidden"])
-        net.layers = [
-            {k: Tensor(np.array(v), requires_grad=True) for k, v in layer.items()}
-            for layer in state["layers"]
-        ]
+        net._stack(int(n), int(hidden), arrays)
         return net
 
 
-def _he_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    scale = math.sqrt(2.0 / fan_in)
-    return Tensor(scale * rng.standard_normal((fan_in, fan_out)), requires_grad=True)
+def _he_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    return math.sqrt(2.0 / fan_in) * rng.standard_normal((fan_in, fan_out))
 
 
 class Adam:
@@ -206,20 +254,13 @@ def elbo_loss(
     relaxed: bool = False,
 ) -> Tensor:
     """Negative ELBO for one minibatch; differentiable w.r.t. all parameters."""
-    b = batch.shape[0]
     x = Tensor(batch)
-    total = None
-    for _ in range(cfg.dag_samples_per_step):
-        sample = sample_dag_parts(model, noise, relaxed=relaxed)
-        xhat = mechanisms.forward_all(x, sample.soft)
-        recon = ad.mul(ad.squared_norm(ad.sub(x, xhat)), Tensor(1.0 / b))
-        loss = recon
-        if cfg.lam > 0:
-            loss = ad.add(loss, ad.mul(_kl_term(model, sample.mask, cfg.prior_p), Tensor(cfg.lam)))
-        total = loss if total is None else ad.add(total, loss)
-    if cfg.dag_samples_per_step > 1:
-        total = ad.mul(total, Tensor(1.0 / cfg.dag_samples_per_step))
-    return total
+    sample = sample_dag_parts(model, noise, relaxed=relaxed)
+    xhat = mechanisms.forward_all(x, sample.soft)
+    loss = ad.mul(ad.squared_norm(ad.sub(x, xhat)), Tensor(1.0 / batch.shape[0]))
+    if cfg.lam > 0:
+        loss = ad.add(loss, ad.mul(_kl_term(model, sample.mask, cfg.prior_p), Tensor(cfg.lam)))
+    return loss
 
 
 def validation_loss(
@@ -242,12 +283,7 @@ def _masked_reconstruction_error(x: np.ndarray, mechanisms: MechanismNet, adjace
 
 
 def _predict_values(x: np.ndarray, mechanisms: MechanismNet, adjacency: np.ndarray) -> np.ndarray:
-    xt = Tensor(x)
-    cols = [
-        mechanisms.forward_node(i, xt, Tensor(adjacency[i : i + 1, :].astype(np.float64)))
-        for i in range(mechanisms.n)
-    ]
-    return np.concatenate([c.value for c in cols], axis=1)
+    return mechanisms.forward_all(Tensor(x), Tensor(adjacency)).value
 
 
 @dataclass

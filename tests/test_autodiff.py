@@ -29,13 +29,22 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="unknown op kind"):
             forward_op("conv2d", Tensor([1.0]))
 
-    def test_concat_and_slice(self):
-        a = Tensor([[1.0, 2.0]])
-        b = Tensor([[3.0, 4.0]])
-        cat = ad.concat([a, b], axis=0)
-        np.testing.assert_array_equal(cat.value, [[1, 2], [3, 4]])
-        sl = ad.slice2d(cat, 1, 2, 0, 2)
-        np.testing.assert_array_equal(sl.value, [[3, 4]])
+    def test_block_matmul_is_block_diagonal_product(self, rng):
+        blocks, m, k, p = 3, 4, 2, 5
+        a = rng.uniform(-2, 2, (m, blocks * k))
+        b = rng.uniform(-2, 2, (blocks * k, p))
+        dense = np.zeros((blocks * k, blocks * p))
+        for i in range(blocks):
+            dense[i * k : (i + 1) * k, i * p : (i + 1) * p] = b[i * k : (i + 1) * k]
+        out = ad.block_matmul(Tensor(a), Tensor(b), blocks)
+        np.testing.assert_allclose(out.value, a @ dense, rtol=0, atol=1e-12)
+
+    def test_leaky_relu_matches_where_form(self, rng):
+        x = np.concatenate([rng.uniform(-3, 3, 200), [0.0, -0.0, 1e-300, -1e-300]])
+        for alpha in (0.0, 0.01, 0.5, 0.999):
+            out = ad.leaky_relu(Tensor(x), alpha).value
+            ref = np.where(x > 0, x, alpha * x)
+            assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
 
 
 class TestBackwardExamples:
@@ -112,9 +121,16 @@ class TestShapeErrors:
         with pytest.raises(DimensionError, match="add"):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
-    def test_slice_out_of_bounds(self):
-        with pytest.raises(DimensionError, match="slice"):
-            ad.slice2d(Tensor(np.ones((2, 2))), 0, 3, 0, 1)
+    def test_block_matmul_mismatched_blocks(self):
+        with pytest.raises(DimensionError, match="block-matmul"):
+            ad.block_matmul(Tensor(np.ones((2, 6))), Tensor(np.ones((6, 2))), 4)
+        with pytest.raises(DimensionError, match="block-matmul"):
+            ad.block_matmul(Tensor(np.ones((2, 6))), Tensor(np.ones((4, 2))), 2)
+
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self):
+        for alpha in (-0.1, 1.0, 2.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                ad.leaky_relu(Tensor(np.ones(3)), alpha)
 
     def test_rank_three_rejected(self):
         with pytest.raises(DimensionError):
@@ -161,11 +177,10 @@ class TestGradChecks:
             assert_grads_close(build, [param])
 
     def test_structural_ops(self, rng):
-        a = Tensor(rng.uniform(-2, 2, (2, 3)), requires_grad=True)
-        b = Tensor(rng.uniform(-2, 2, (2, 3)), requires_grad=True)
-        w = Tensor(rng.uniform(-2, 2, (4, 3)))
-        assert_grads_close(lambda: ad.tsum(ad.mul(ad.concat([a, b], axis=0), w)), [a, b])
-        assert_grads_close(lambda: ad.squared_norm(ad.slice2d(a, 0, 2, 1, 3)), [a])
+        a = Tensor(rng.uniform(-2, 2, (2, 6)), requires_grad=True)
+        b = Tensor(rng.uniform(-2, 2, (6, 2)), requires_grad=True)
+        w = Tensor(rng.uniform(-2, 2, (2, 6)))
+        assert_grads_close(lambda: ad.tsum(ad.mul(ad.block_matmul(a, b, 3), w)), [a, b])
 
 
 class TestStraightThrough:

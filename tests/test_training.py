@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import analytic_grads, numeric_grads
 from diffdag import autodiff as ad
@@ -132,7 +134,7 @@ class TestElboLoss:
         def build():
             return elbo_loss(batch, model, mech, cfg, GumbelSource(33), relaxed=True)
 
-        params = model.parameters() + [mech.layers[0]["w1"], mech.layers[2]["w2"], mech.layers[4]["b3"]]
+        params = model.parameters() + [mech.w1, mech.w2, mech.b3]
         ana = analytic_grads(build, params)
         num = numeric_grads(build, params, eps=1e-5)
         for a, b in zip(ana, num):
@@ -258,6 +260,191 @@ class TestPredict:
         mech = MechanismNet(3, 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="adjacency"):
             predict(mech, None, np.zeros((4, 3)))
+
+
+def seed_format_state(n, hidden, rng):
+    """Mechanism weights in the version-1 checkpoint layout: one dict of
+    per-node arrays (as nested lists) per node."""
+    shapes = {
+        "w1": (n, hidden),
+        "b1": (1, hidden),
+        "w2": (hidden, hidden),
+        "b2": (1, hidden),
+        "w3": (hidden, 1),
+        "b3": (1, 1),
+    }
+    layers = [{k: rng.normal(size=shape).tolist() for k, shape in shapes.items()} for _ in range(n)]
+    return {"n": n, "hidden": hidden, "layers": layers}
+
+
+def reference_forward(state, x, mask):
+    """Plain-numpy per-node loop: node i's MLP on ``x`` masked by row i."""
+    def leaky(v):
+        return np.where(v > 0, v, 0.01 * v)
+
+    cols = []
+    for i, layer in enumerate(state["layers"]):
+        p = {k: np.array(v) for k, v in layer.items()}
+        h = leaky((x * mask[i]) @ p["w1"] + p["b1"])
+        h = leaky(h @ p["w2"] + p["b2"])
+        cols.append(h @ p["w3"] + p["b3"])
+    return np.concatenate(cols, axis=1)
+
+
+def node_blocks(mech, j):
+    """Node j's slice of each stacked parameter, in parameters() order."""
+    h = mech.hidden
+    blk = slice(j * h, (j + 1) * h)
+    return [
+        (mech.w1, (slice(None), blk)),
+        (mech.b1, (slice(None), blk)),
+        (mech.w2, (blk, slice(None))),
+        (mech.b2, (slice(None), blk)),
+        (mech.w3, (blk, slice(None))),
+        (mech.b3, (slice(None), slice(j, j + 1))),
+    ]
+
+
+class TestStackedMechanisms:
+    def test_init_stacks_per_node_draws_in_order(self):
+        n, h = 4, 3
+        mech = MechanismNet(n, h, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        for i in range(n):
+            w1 = np.sqrt(2.0 / n) * rng.standard_normal((n, h))
+            w2 = np.sqrt(2.0 / h) * rng.standard_normal((h, h))
+            w3 = np.sqrt(2.0 / h) * rng.standard_normal((h, 1))
+            layer = mech.state()["layers"][i]
+            assert np.array_equal(layer["w1"], w1)
+            assert np.array_equal(layer["w2"], w2)
+            assert np.array_equal(layer["w3"], w3)
+            assert not np.any(layer["b1"]) and not np.any(layer["b2"]) and not np.any(layer["b3"])
+        assert len(mech.parameters()) == 6
+
+    @pytest.mark.parametrize("hard", [True, False])
+    def test_matches_per_node_reference(self, hard):
+        rng = np.random.default_rng(4)
+        n, h = 6, 5
+        state = seed_format_state(n, h, rng)
+        mech = MechanismNet.from_state(state)
+        x = rng.normal(size=(32, n))
+        mask = rng.random((n, n))
+        if hard:
+            mask = (mask < 0.5).astype(np.float64)
+        out = mech.forward_all(Tensor(x), Tensor(mask)).value
+        np.testing.assert_allclose(out, reference_forward(state, x, mask), rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        h=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_reference_for_any_mask(self, n, h, seed):
+        rng = np.random.default_rng(seed)
+        state = seed_format_state(n, h, rng)
+        mask = rng.integers(0, 2, (n, n)).astype(np.float64)
+        x = rng.normal(size=(7, n))
+        out = MechanismNet.from_state(state).forward_all(Tensor(x), Tensor(mask)).value
+        assert out.shape == (7, n)
+        np.testing.assert_allclose(out, reference_forward(state, x, mask), rtol=0, atol=1e-12)
+
+    def test_node_blocks_only_move_their_column(self):
+        rng = np.random.default_rng(5)
+        n, h = 5, 4
+        mech = MechanismNet(n, h, rng)
+        x = Tensor(rng.normal(size=(16, n)))
+        mask = Tensor(rng.random((n, n)))
+        base = mech.forward_all(x, mask).value
+        for j in range(n):
+            saved = [p.value.copy() for p in mech.parameters()]
+            for p, idx in node_blocks(mech, j):
+                p.value[idx] += rng.normal(size=p.value[idx].shape)
+            out = mech.forward_all(x, mask).value
+            for p, v in zip(mech.parameters(), saved):
+                p.value = v
+            others = [c for c in range(n) if c != j]
+            assert np.array_equal(out[:, others], base[:, others])
+            assert not np.allclose(out[:, j], base[:, j])
+
+    def test_masked_out_inputs_do_not_reach_column(self):
+        rng = np.random.default_rng(6)
+        n = 6
+        mech = MechanismNet(n, 4, rng)
+        mask = (rng.random((n, n)) < 0.5).astype(np.float64)
+        x = rng.normal(size=(16, n))
+        base = mech.forward_all(Tensor(x), Tensor(mask)).value
+        for i in range(n):
+            for k in range(n):
+                if mask[i, k] == 0:
+                    moved = x.copy()
+                    moved[:, k] += 10.0 * rng.normal(size=16)
+                    out = mech.forward_all(Tensor(moved), Tensor(mask)).value
+                    assert np.array_equal(out[:, i], base[:, i])
+
+    def test_column_gradient_reaches_only_its_node(self):
+        rng = np.random.default_rng(8)
+        n, h = 5, 3
+        mech = MechanismNet(n, h, rng)
+        x = Tensor(rng.normal(size=(16, n)))
+        mask = Tensor(rng.random((n, n)), requires_grad=True)
+        for j in range(n):
+            pick = np.zeros((16, n))
+            pick[:, j] = rng.normal(size=16)
+            grads = analytic_grads(
+                lambda: ad.tsum(ad.mul(mech.forward_all(x, mask), Tensor(pick))), mech.parameters() + [mask]
+            )
+            for (p, idx), g in zip(node_blocks(mech, j), grads):
+                outside = g.copy()
+                outside[idx] = 0.0
+                assert not np.any(outside), "gradient leaked outside node j's block"
+                assert np.any(g[idx])
+            mask_grad = grads[-1]
+            assert not np.any(np.delete(mask_grad, j, axis=0)) and np.any(mask_grad[j])
+
+    def test_tape_size_does_not_grow_with_n(self):
+        def nodes(n):
+            rng = np.random.default_rng(0)
+            mech = MechanismNet(n, 4, rng)
+            with Tape() as tape:
+                mech.forward_all(Tensor(rng.normal(size=(8, n))), Tensor(rng.random((n, n)), requires_grad=True))
+            return len(tape.nodes)
+
+        assert nodes(5) == nodes(50) <= 14
+
+
+class TestMechanismCheckpoint:
+    def test_seed_format_round_trips_bit_exactly(self):
+        state = seed_format_state(4, 3, np.random.default_rng(1))
+        assert MechanismNet.from_state(state).state() == state
+
+    def test_state_round_trip_keeps_parameters(self):
+        mech = MechanismNet(5, 4, np.random.default_rng(2))
+        back = MechanismNet.from_state(mech.state())
+        for a, b in zip(mech.parameters(), back.parameters()):
+            assert np.array_equal(a.value, b.value) and b.requires_grad
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda s: s.update(n=3), "n = 3 but layers holds 4"),
+            (lambda s: s.update(n=0), "n must be a positive integer"),
+            (lambda s: s.update(hidden="3"), "hidden must be a positive integer"),
+            (lambda s: s.update(hidden=2), "node 0 key 'w1' has shape"),
+            (lambda s: s.pop("layers"), "needs keys n, hidden and layers"),
+            (lambda s: s["layers"][2].pop("b2"), "node 2 has keys"),
+            (lambda s: s["layers"][1].update(extra=[[0.0]]), "node 1 has keys"),
+            (lambda s: s["layers"][3].update(w2=[[0.0] * 3] * 2), "node 3 key 'w2' has shape"),
+            (lambda s: s["layers"][1].update(b3=[[float("nan")]]), "node 1 key 'b3' holds non-finite"),
+            (lambda s: s["layers"][0].update(w3=[[1.0], [float("inf")], [0.0]]), "node 0 key 'w3' holds non-finite"),
+            (lambda s: s["layers"][2].update(b1=[[1.0, "a", 2.0]]), "node 2 key 'b1' is not a numeric"),
+        ],
+    )
+    def test_malformed_state_names_node_and_key(self, corrupt, match):
+        state = seed_format_state(4, 3, np.random.default_rng(3))
+        corrupt(state)
+        with pytest.raises(ValueError, match=match):
+            MechanismNet.from_state(state)
 
 
 class TestAdam:
