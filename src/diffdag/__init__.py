@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, Tensor, forward_op, straight_through
+from .autodiff import Tape, Tensor, straight_through
 from .graphs import (
     AcyclicityError,
     AdjacencyMatrix,
@@ -33,7 +33,6 @@ __all__ = [
     "__version__",
     "Tape",
     "Tensor",
-    "forward_op",
     "straight_through",
     "AcyclicityError",
     "AdjacencyMatrix",

@@ -2,10 +2,13 @@
 
 A :class:`Tape` records every operation applied to :class:`Tensor` objects
 while it is active; ``tape.backward(loss)`` then walks the record in reverse
-and accumulates ``d loss / d leaf`` into each leaf's ``.grad``. The op
-vocabulary is fixed (no general broadcasting): operands are scalars (0-d),
-vectors (1-d) or matrices (2-d), and every adjoint rule is registered
-individually so it can be finite-difference checked on its own.
+and accumulates ``d loss / d leaf`` into each leaf's ``.grad``. Each op is a
+plain function that computes its value in numpy and records one node with its
+own adjoint through :func:`_record`; a fused op defined elsewhere (the
+Sinkhorn operator in :mod:`diffdag.gumbel`) records itself the same way. The
+vocabulary holds only the ops the library calls, with no general
+broadcasting: operands are scalars (0-d), vectors (1-d) or matrices (2-d),
+and every adjoint is finite-difference checked on its own.
 
 Gradients accumulate across backward calls; callers zero them explicitly
 between optimizer steps via :meth:`Tensor.zero_grad`.
@@ -19,9 +22,7 @@ __all__ = [
     "DimensionError",
     "Tensor",
     "Tape",
-    "forward_op",
     "straight_through",
-    "OP_KINDS",
 ]
 
 
@@ -156,7 +157,7 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# op registry
+# ops
 # ---------------------------------------------------------------------------
 
 
@@ -241,6 +242,19 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record("sigmoid", (x,), s, bw, s)
 
 
+def softplus(x: Tensor) -> Tensor:
+    """log(1 + exp(x)), finite for every finite x."""
+    x = _as_tensor(x)
+    v = x.value
+    e = np.exp(-np.abs(v))
+
+    def bw(g, node):
+        v, e = node.saved
+        return (g * np.where(v >= 0, 1.0, e) / (1.0 + e),)
+
+    return _record("softplus", (x,), np.maximum(v, 0.0) + np.log1p(e), bw, (v, e))
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.value.ndim != 2:
@@ -254,25 +268,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         return (sv * (g - (g * sv).sum(axis=1, keepdims=True)),)
 
     return _record("softmax-rows", (x,), s, bw, s)
-
-
-def log(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def bw(g, node):
-        return (g / node.saved,)
-
-    return _record("log", (x,), np.log(x.value), bw, x.value)
-
-
-def exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    e = np.exp(x.value)
-
-    def bw(g, node):
-        return (g * node.saved,)
-
-    return _record("exp", (x,), e, bw, e)
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
@@ -306,16 +301,6 @@ def tsum(x: Tensor) -> Tensor:
     return _record("sum", (x,), np.sum(x.value), bw, x.value.shape)
 
 
-def tmean(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def bw(g, node):
-        shape, size = node.saved
-        return (np.full(shape, float(g) / size),)
-
-    return _record("mean", (x,), np.mean(x.value), bw, (x.value.shape, x.value.size))
-
-
 def squared_norm(x: Tensor) -> Tensor:
     x = _as_tensor(x)
 
@@ -334,49 +319,6 @@ def transpose(x: Tensor) -> Tensor:
         return (g.T,)
 
     return _record("transpose", (x,), x.value.T.copy(), bw, None)
-
-
-def row_normalize(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.value.ndim != 2:
-        raise DimensionError(f"row-normalize: need a matrix, got shape {x.value.shape}")
-    r = x.value.sum(axis=1, keepdims=True)
-    y = x.value / r
-
-    def bw(g, node):
-        yv, rv = node.saved
-        return ((g - (g * yv).sum(axis=1, keepdims=True)) / rv,)
-
-    return _record("row-normalize", (x,), y, bw, (y, r))
-
-
-def col_normalize(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.value.ndim != 2:
-        raise DimensionError(f"col-normalize: need a matrix, got shape {x.value.shape}")
-    c = x.value.sum(axis=0, keepdims=True)
-    y = x.value / c
-
-    def bw(g, node):
-        yv, cv = node.saved
-        return ((g - (g * yv).sum(axis=0, keepdims=True)) / cv,)
-
-    return _record("col-normalize", (x,), y, bw, (y, c))
-
-
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """Row-wise log-sum-exp, (n, m) -> (n, 1); the stable log-space reduction."""
-    x = _as_tensor(x)
-    if x.value.ndim != 2:
-        raise DimensionError(f"logsumexp-rows: need a matrix, got shape {x.value.shape}")
-    m = x.value.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(x.value - m).sum(axis=1, keepdims=True))
-
-    def bw(g, node):
-        xv, lv = node.saved
-        return (g * np.exp(xv - lv),)
-
-    return _record("logsumexp-rows", (x,), lse, bw, (x.value, lse))
 
 
 def block_matmul(a: Tensor, b: Tensor, blocks: int) -> Tensor:
@@ -424,35 +366,3 @@ def straight_through(hard, soft: Tensor) -> Tensor:
 
     return _record("straight-through", (soft,), hv, bw, None)
 
-
-_DISPATCH = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "elementwise-mul": mul,
-    "sigmoid": sigmoid,
-    "softmax-rows": softmax_rows,
-    "log": log,
-    "exp": exp,
-    "leaky-relu": leaky_relu,
-    "abs": absolute,
-    "sum": tsum,
-    "mean": tmean,
-    "squared-norm": squared_norm,
-    "transpose": transpose,
-    "row-normalize": row_normalize,
-    "col-normalize": col_normalize,
-    "logsumexp-rows": logsumexp_rows,
-    "block-matmul": block_matmul,
-}
-
-OP_KINDS = tuple(_DISPATCH)
-
-
-def forward_op(kind: str, *inputs, **attrs) -> Tensor:
-    """Apply an op by identifier; records on the active tape."""
-    try:
-        fn = _DISPATCH[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}; valid kinds: {sorted(_DISPATCH)}") from None
-    return fn(*inputs, **attrs)

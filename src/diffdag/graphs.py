@@ -155,15 +155,11 @@ def compose(pi: PermutationMatrix, u: UpperTriangularEdges) -> AdjacencyMatrix:
     return AdjacencyMatrix(a, validate=False)
 
 
-def _children_counts(m: np.ndarray) -> np.ndarray:
-    # children of v = {i : m[i][v] = 1}
-    return m.sum(axis=0).astype(np.int64)
-
-
-def _kahn_order(m: np.ndarray):
-    """Peel sinks first, lowest index first; returns ranks or None if cyclic."""
+def _kahn_order(m: np.ndarray) -> np.ndarray:
+    """Peel sinks first, lowest index first; returns each node's rank, or -1
+    for the nodes left unpeeled (on or upstream of a cycle)."""
     n = m.shape[0]
-    counts = _children_counts(m)
+    counts = m.sum(axis=0).astype(np.int64)  # children of v = {i : m[i][v] = 1}
     ready = [v for v in range(n) if counts[v] == 0]
     heapq.heapify(ready)
     rank = np.full(n, -1, dtype=np.int64)
@@ -176,8 +172,6 @@ def _kahn_order(m: np.ndarray):
             counts[j] -= 1
             if counts[j] == 0:
                 heapq.heappush(ready, int(j))
-    if k != n:
-        return None
     return rank
 
 
@@ -186,35 +180,23 @@ def is_acyclic(entries) -> bool:
     m = _as_binary_square(entries)
     if np.diagonal(m).any():
         return False
-    return _kahn_order(m) is not None
+    return bool((_kahn_order(m) >= 0).all())
 
 
 def find_cycle(entries):
     """Return one directed cycle as a node list, or None if acyclic."""
     m = _as_binary_square(entries)
-    n = m.shape[0]
     if np.diagonal(m).any():
         v = int(np.flatnonzero(np.diagonal(m))[0])
         return [v, v]
-    rank = _kahn_order(m)
-    if rank is not None:
+    alive = _kahn_order(m) < 0
+    if not alive.any():
         return None
     # Every node left after peeling has at least one child left; walk child
     # pointers until a node repeats.
-    counts = _children_counts(m)
-    # Recompute the set of unpeeled nodes by rerunning the peel.
-    alive = np.ones(n, dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if alive[v] and not (m[:, v] & alive).any():
-                alive[v] = False
-                changed = True
-    start = int(np.flatnonzero(alive)[0])
     seen = {}
     path = []
-    v = start
+    v = int(np.flatnonzero(alive)[0])
     while v not in seen:
         seen[v] = len(path)
         path.append(v)
@@ -225,7 +207,7 @@ def find_cycle(entries):
 def decompose(a: AdjacencyMatrix) -> tuple[PermutationMatrix, UpperTriangularEdges]:
     """Invert compose: deterministic ranking plus the relabeled edge matrix."""
     rank = _kahn_order(a.entries)
-    if rank is None:
+    if (rank < 0).any():
         raise AcyclicityError(find_cycle(a.entries))
     pi = PermutationMatrix(rank)
     inv = pi.inverse().perm

@@ -109,8 +109,9 @@ class PermutationParams:
     mode: str = TOPK
     scores: Tensor = None
     temperature: float = 1.0
-    # Sampling unrolls the iteration on the tape, so the budget stays small;
-    # standalone operator calls default to a larger cap (see sinkhorn_operator).
+    # Training replays every round in the backward pass, so the budget stays
+    # small; standalone operator calls default to a larger cap (see
+    # sinkhorn_operator).
     sinkhorn_iters: int = 20
 
     def __post_init__(self):
@@ -174,36 +175,43 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     rounds; the larger cap only matters for near-degenerate inputs whose
     alternation converges slowly). Log-space arithmetic keeps the iteration
     finite for arbitrarily large score magnitudes.
+
+    The loop runs once, in numpy, whether or not a tape is active, so the
+    output does not depend on taping. Under a tape it records one
+    ``"sinkhorn"`` node whose adjoint replays the saved iterates in reverse:
+    exactly the gradient of the unrolled loop, at whatever round it stopped.
     """
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
+    if iters < 1:
+        raise ParameterError(f"iters must be >= 1, got {iters}")
     m = m if isinstance(m, Tensor) else Tensor(m)
-    if ad._active_tape() is None or not m.requires_grad:
-        # nothing to differentiate: run the identical iteration without tape
-        # bookkeeping (matters for sampling benchmarks at small n)
-        log_p = m.value / tau
-        for _ in range(iters):
-            log_p = log_p - _lse(log_p, axis=1)
-            log_p = log_p - _lse(log_p, axis=0)
-            p = np.exp(log_p)
-            dev = max(np.abs(p.sum(axis=1) - 1.0).max(), np.abs(p.sum(axis=0) - 1.0).max())
-            if dev < tol:
-                break
-        return Tensor(np.exp(log_p))
-    n_rows, n_cols = m.value.shape
-    ones_row = Tensor(np.ones((1, n_cols)))
-    ones_col = Tensor(np.ones((1, n_rows)))
-    log_p = ad.mul(m, Tensor(1.0 / tau))
+    # Iterates are kept only when a node will be recorded, as a flat list
+    # rows_1, p_1, rows_2, p_2, ...: naming no array beyond the two that the
+    # loop rebinds keeps an untaped draw's peak memory at four n x n arrays.
+    saved = [] if ad._active_tape() is not None and m.requires_grad else None
+    log_p = m.value / tau
     for _ in range(iters):
-        log_p = ad.sub(log_p, ad.matmul(ad.logsumexp_rows(log_p), ones_row))
-        cols = ad.transpose(log_p)
-        cols = ad.sub(cols, ad.matmul(ad.logsumexp_rows(cols), ones_col))
-        log_p = ad.transpose(cols)
-        p = np.exp(log_p.value)
+        log_p = log_p - _lse(log_p, axis=1)
+        if saved is not None:
+            saved.append(log_p)
+        log_p = log_p - _lse(log_p, axis=0)
+        p = np.exp(log_p)
+        if saved is not None:
+            saved.append(p)
         dev = max(np.abs(p.sum(axis=1) - 1.0).max(), np.abs(p.sum(axis=0) - 1.0).max())
         if dev < tol:
             break
-    return ad.exp(log_p)
+
+    def bw(g, node):
+        g = g * node.output.value  # through the final exp
+        for rows_k, p_k in reversed(list(zip(node.saved[::2], node.saved[1::2]))):
+            # column step: its softmax is p_k; row step: its softmax is exp(rows_k)
+            g -= p_k * g.sum(axis=0, keepdims=True)
+            g -= np.exp(rows_k) * g.sum(axis=1, keepdims=True)
+        return (g / tau,)
+
+    return ad._record("sinkhorn", (m,), p, bw, saved)
 
 
 def hungarian(profit) -> PermutationMatrix:

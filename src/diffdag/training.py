@@ -226,21 +226,27 @@ class Adam:
 
 
 def bernoulli_kl(p: float | np.ndarray, q: float | np.ndarray) -> np.ndarray:
-    """Closed-form KL(Ber(p) || Ber(q))."""
+    """Closed-form KL(Ber(p) || Ber(q)), taking 0 log 0 = 0 at p in {0, 1}."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    return p * (np.log(p) - np.log(q)) + (1.0 - p) * (np.log1p(-p) - np.log1p(-q))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ones = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+        zeros = np.where(p < 1, (1.0 - p) * (np.log1p(-p) - np.log1p(-q)), 0.0)
+    return ones + zeros
 
 
 def _kl_term(model: DpDagModel, mask: Tensor, prior_p: float) -> Tensor:
-    """sum over mask-allowed pairs of KL(Ber(sigmoid(logit)) || Ber(prior))."""
-    phi = ad.sigmoid(model.edge_params.logits)
-    one = Tensor(np.ones_like(phi.value))
-    log_p = Tensor(np.full_like(phi.value, math.log(prior_p)))
-    log_1p = Tensor(np.full_like(phi.value, math.log1p(-prior_p)))
-    kl = ad.add(
-        ad.mul(phi, ad.sub(ad.log(phi), log_p)),
-        ad.mul(ad.sub(one, phi), ad.sub(ad.log(ad.sub(one, phi)), log_1p)),
+    """sum over mask-allowed pairs of KL(Ber(sigmoid(logit)) || Ber(prior)).
+
+    Written in the logit l as sigmoid(l) (l - logit(prior)) - softplus(l) -
+    log(1 - prior), which stays finite for every finite logit; the form in
+    probabilities is 0 * inf once sigmoid(l) rounds to 0 or 1.
+    """
+    logits = model.edge_params.logits
+    logit_prior = Tensor(math.log(prior_p) - math.log1p(-prior_p))
+    kl = ad.sub(
+        ad.mul(ad.sigmoid(logits), ad.sub(logits, logit_prior)),
+        ad.add(ad.softplus(logits), Tensor(math.log1p(-prior_p))),
     )
     return ad.tsum(ad.mul(kl, mask))
 
@@ -271,9 +277,8 @@ def validation_loss(
     directed, _ = edge_scores(model)
     recon = _masked_reconstruction_error(x_val, mechanisms, directed)
     if cfg.lam > 0:
-        allowed = directed > 0
-        phi = model.edge_params.probabilities()
-        recon += cfg.lam * float(bernoulli_kl(phi[allowed], cfg.prior_p).sum())
+        allowed = Tensor((directed > 0).astype(np.float64))
+        recon += cfg.lam * float(_kl_term(model, allowed, cfg.prior_p).value)
     return recon
 
 

@@ -283,13 +283,13 @@ class TestCriterion6GradientChecks:
         rng = np.random.default_rng(11)
         x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
         y = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        pos = Tensor(rng.uniform(0.2, 2, (3, 4)), requires_grad=True)
         m = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
         w34 = Tensor(rng.uniform(-2, 2, (3, 4)))
         w32 = Tensor(rng.uniform(-2, 2, (3, 2)))
-        w31 = Tensor(np.ones((3, 1)))
         s = Tensor(0.6, requires_grad=True)
         b42 = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
+        sq = Tensor(rng.uniform(-2, 2, (4, 4)), requires_grad=True)
+        w44 = Tensor(rng.uniform(-2, 2, (4, 4)))
         cases = [
             ("matmul", lambda: ad.tsum(ad.mul(ad.matmul(x, m), w32)), [x, m]),
             ("add", lambda: ad.tsum(ad.mul(ad.add(x, y), y)), [x, y]),
@@ -298,18 +298,14 @@ class TestCriterion6GradientChecks:
             ("scalar-mix", lambda: ad.tsum(ad.mul(ad.add(x, s), y)), [x, s]),
             ("sigmoid", lambda: ad.tsum(ad.mul(ad.sigmoid(x), w34)), [x]),
             ("softmax-rows", lambda: ad.tsum(ad.mul(ad.softmax_rows(x), w34)), [x]),
-            ("log", lambda: ad.tsum(ad.mul(ad.log(pos), w34)), [pos]),
-            ("exp", lambda: ad.tsum(ad.mul(ad.exp(x), w34)), [x]),
+            ("softplus", lambda: ad.tsum(ad.mul(ad.softplus(x), w34)), [x]),
             ("leaky-relu", lambda: ad.tsum(ad.mul(ad.leaky_relu(x), w34)), [x]),
             ("abs", lambda: ad.tsum(ad.mul(ad.absolute(x), w34)), [x]),
             ("sum", lambda: ad.mul(ad.tsum(x), ad.tsum(y)), [x, y]),
-            ("mean", lambda: ad.tmean(ad.mul(x, y)), [x]),
             ("squared-norm", lambda: ad.squared_norm(x), [x]),
             ("transpose", lambda: ad.tsum(ad.mul(ad.transpose(x), ad.transpose(w34))), [x]),
-            ("row-normalize", lambda: ad.tsum(ad.mul(ad.row_normalize(pos), w34)), [pos]),
-            ("col-normalize", lambda: ad.tsum(ad.mul(ad.col_normalize(pos), w34)), [pos]),
-            ("logsumexp-rows", lambda: ad.tsum(ad.mul(ad.logsumexp_rows(x), w31)), [x]),
             ("block-matmul", lambda: ad.tsum(ad.mul(ad.block_matmul(x, b42, 2), w34)), [x, b42]),
+            ("sinkhorn", lambda: ad.tsum(ad.mul(sinkhorn_operator(sq, iters=8, tol=0.0), w44)), [sq]),
             ("straight-through", lambda: ad.tsum(ad.mul(ad.straight_through(ad.sigmoid(x).value, ad.sigmoid(x)), w34)), [x]),
         ]
         failures = []

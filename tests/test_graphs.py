@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import enumerate_dags
+from conftest import _acyclic_ref, enumerate_dags
 from diffdag.graphs import (
     AcyclicityError,
     AdjacencyMatrix,
@@ -116,6 +119,35 @@ class TestDecompose:
         a.entries = m
         with pytest.raises(AcyclicityError, match="cycle"):
             decompose(a)
+
+
+@st.composite
+def _graphs(draw):
+    """Random 0/1 matrices: DAGs, cyclic graphs without self-loops, anything."""
+    n = draw(st.integers(1, 8))
+    m = draw(arrays(np.int8, (n, n), elements=st.integers(0, 1)))
+    kind = draw(st.sampled_from(["dag", "loopless", "any"]))
+    if kind == "dag":
+        perm = np.array(draw(st.permutations(range(n))))
+        m = np.triu(m, 1)[np.ix_(perm, perm)]
+    elif kind == "loopless":
+        np.fill_diagonal(m, 0)
+    return m
+
+
+class TestFindCycle:
+    @settings(max_examples=300, deadline=None)
+    @given(m=_graphs())
+    def test_returns_a_real_cycle_or_none(self, m):
+        cycle = find_cycle(m)
+        if _acyclic_ref(m):
+            assert cycle is None
+            return
+        assert cycle is not None and cycle[0] == cycle[-1]
+        body = cycle[:-1]
+        assert len(body) >= 1 and len(set(body)) == len(body)
+        # consecutive nodes u, v are an edge u -> v, i.e. m[v][u] = 1
+        assert all(m[v, u] == 1 for u, v in zip(cycle, cycle[1:]))
 
 
 class TestIsAcyclic:

@@ -1,7 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import assert_grads_close
 from diffdag import autodiff as ad
@@ -92,6 +96,102 @@ class TestSinkhorn:
         m = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 4)))
         assert_grads_close(lambda: ad.tsum(ad.mul(sinkhorn_operator(m, iters=8, tol=0.0), w)), [m], rtol=1e-4)
+
+
+def _unrolled_sinkhorn(m, iters, tau, tol):
+    """Reference: the same iteration unrolled on the tape, seven nodes a round."""
+
+    def logsumexp_rows(x):
+        mx = x.value.max(axis=1, keepdims=True)
+        lse = mx + np.log(np.exp(x.value - mx).sum(axis=1, keepdims=True))
+        return ad._record("logsumexp-rows", (x,), lse, lambda g, node: (g * np.exp(x.value - lse),))
+
+    n_rows, n_cols = m.value.shape
+    ones_row = Tensor(np.ones((1, n_cols)))
+    ones_col = Tensor(np.ones((1, n_rows)))
+    log_p = ad.mul(m, Tensor(1.0 / tau))
+    for _ in range(iters):
+        log_p = ad.sub(log_p, ad.matmul(logsumexp_rows(log_p), ones_row))
+        cols = ad.transpose(log_p)
+        cols = ad.sub(cols, ad.matmul(logsumexp_rows(cols), ones_col))
+        log_p = ad.transpose(cols)
+        p = np.exp(log_p.value)
+        dev = max(np.abs(p.sum(axis=1) - 1.0).max(), np.abs(p.sum(axis=0) - 1.0).max())
+        if dev < tol:
+            break
+    e = np.exp(log_p.value)
+    return ad._record("exp", (log_p,), e, lambda g, node: (g * e,))
+
+
+def _sinkhorn_grad(op, m_value, w, **kw):
+    m = Tensor(m_value, requires_grad=True)
+    with Tape() as tape:
+        loss = ad.tsum(ad.mul(op(m, **kw), Tensor(w)))
+    tape.backward(loss)
+    return m.grad
+
+
+class TestSinkhornOp:
+    """The fused op against the unrolled loop it replaces."""
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_gradient_matches_unrolled_loop(self, n, rng):
+        for tau in (0.5, 1.0):
+            for tol in (0.0, 1e-6):
+                m = rng.normal(scale=2.0, size=(n, n))
+                w = rng.normal(size=(n, n))
+                kw = dict(iters=20, tau=tau, tol=tol)
+                got = _sinkhorn_grad(sinkhorn_operator, m, w, **kw)
+                ref = _sinkhorn_grad(_unrolled_sinkhorn, m, w, **kw)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (tau, tol)
+
+    def test_taped_and_untaped_outputs_identical(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 60))
+            m = rng.normal(scale=3.0, size=(n, n))
+            untaped = sinkhorn_operator(m, iters=20).value
+            with Tape():
+                taped = sinkhorn_operator(Tensor(m, requires_grad=True), iters=20).value
+            assert np.array_equal(taped, untaped)
+
+    def test_one_node_per_call(self, rng):
+        m = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        for iters in (1, 5, 50):
+            with Tape() as tape:
+                sinkhorn_operator(m, iters=iters, tol=0.0)
+            assert [node.kind for node in tape.nodes] == ["sinkhorn"]
+            assert len(tape.nodes[0].saved) == 2 * iters
+
+    def test_untaped_call_holds_no_iterates(self, rng):
+        m = rng.normal(size=(200, 200))
+        tracemalloc.start()
+        try:
+            sinkhorn_operator(m, iters=20, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * m.nbytes  # four n x n arrays at once, whatever iters is
+
+    def test_rejects_zero_iterations(self):
+        with pytest.raises(ParameterError, match="iters"):
+            sinkhorn_operator(np.eye(3), iters=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scores=st.integers(1, 8).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.floats(-1e6, 1e6, allow_nan=False))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_finite_and_column_stochastic_for_any_scores(self, scores, seed):
+        w = np.random.default_rng(seed).normal(size=scores.shape)
+        m = Tensor(scores, requires_grad=True)
+        with Tape() as tape:
+            p = sinkhorn_operator(m, iters=20)
+            loss = ad.tsum(ad.mul(p, Tensor(w)))
+        tape.backward(loss)
+        assert np.isfinite(p.value).all() and np.isfinite(m.grad).all()
+        assert np.abs(p.value.sum(axis=0) - 1.0).max() <= 1e-9
 
 
 class TestHungarian:

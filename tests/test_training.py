@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import analytic_grads, numeric_grads
 from diffdag import autodiff as ad
@@ -72,6 +73,60 @@ class TestBernoulliKl:
 
     def test_zero_at_equal(self):
         assert bernoulli_kl(0.07, 0.07) == 0.0
+
+    def test_finite_at_certain_outcomes(self):
+        # 0 log 0 = 0: only the term of the outcome that happens is left
+        q = 0.05
+        assert abs(bernoulli_kl(1.0, q) + math.log(q)) <= 1e-15
+        assert abs(bernoulli_kl(0.0, q) + math.log1p(-q)) <= 1e-15
+        np.testing.assert_array_equal(
+            bernoulli_kl(np.array([0.0, 1.0]), q), [bernoulli_kl(0.0, q), bernoulli_kl(1.0, q)]
+        )
+
+
+def _kl_and_grad(logits, prior=0.05):
+    model = DpDagModel.create(logits.shape[0])
+    model.edge_params.logits.value = np.array(logits, dtype=np.float64)
+    with Tape() as tape:
+        kl = _kl_term(model, Tensor(np.ones(logits.shape)), prior)
+    tape.backward(kl)
+    return float(kl.value), model.edge_params.logits.grad
+
+
+class TestKlFromLogits:
+    """The KL term is computed from logits, so saturation cannot make it NaN."""
+
+    def test_saturated_logits_give_finite_value_and_gradient(self):
+        q = 0.05
+        for big in (40.0, 1e3):
+            value, grad = _kl_and_grad(np.array([[big, -big], [-big, big]]), q)
+            # sigmoid(+big) ~ 1 leaves KL = -log q; sigmoid(-big) ~ 0 leaves -log(1 - q)
+            assert abs(value - 2 * (-math.log(q) - math.log1p(-q))) <= 1e-12
+            assert np.isfinite(grad).all() and np.abs(grad).max() <= 1e-12
+
+    def test_validation_loss_finite_with_saturated_logits(self):
+        ds = tiny_dataset()
+        cfg = tiny_cfg(lam=0.1)
+        model = DpDagModel.create(ds.n, perm_mode=cfg.perm_mode)
+        model.edge_params.logits.value = np.where(np.eye(ds.n) > 0, -1e3, 1e3)
+        mech = MechanismNet(ds.n, cfg.hidden, np.random.default_rng(0))
+        assert np.isfinite(validation_loss(ds.val_X(), model, mech, cfg))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        logits=st.integers(1, 4).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.floats(allow_nan=False, allow_infinity=False))
+        ),
+        prior=st.floats(1e-2, 1e-1),
+    )
+    def test_finite_and_nonnegative_for_every_logit(self, logits, prior):
+        value, grad = _kl_and_grad(logits, prior)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        assert value >= -1e-12 * logits.size  # zero at logit(prior), up to rounding
+        moderate = np.clip(logits, -30, 30)
+        if np.array_equal(moderate, logits):
+            oracle = float(bernoulli_kl(1 / (1 + np.exp(-logits)), prior).sum())
+            assert abs(value - oracle) <= 1e-9 * logits.size
 
 
 class TestElboLoss:
