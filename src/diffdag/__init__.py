@@ -27,7 +27,7 @@ from .gumbel import (
 from .metrics import auc_pr, auc_roc, bench_sampling, mechanism_mse, perturbation_confidence, shd
 from .model import DpDagModel, edge_scores, load_checkpoint, sample_dag, save_checkpoint, threshold_dag
 from .semdata import GenSpec, SemDataset, gen_graph, gen_mechanisms_and_sample, generate, load_csv
-from .training import FitResult, MechanismNet, TrainConfig, elbo_loss, fit, fit_direct, predict
+from .training import DivergenceError, FitResult, MechanismNet, TrainConfig, elbo_loss, fit, fit_direct, predict
 
 __all__ = [
     "__version__",
@@ -69,6 +69,7 @@ __all__ = [
     "gen_mechanisms_and_sample",
     "generate",
     "load_csv",
+    "DivergenceError",
     "FitResult",
     "MechanismNet",
     "TrainConfig",

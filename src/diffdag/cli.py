@@ -23,7 +23,7 @@ from .gumbel import SINKHORN, TOPK
 from .metrics import bench_sampling, mechanism_mse, shd, structure_aucs
 from .model import DpDagModel, load_checkpoint, save_checkpoint, threshold_dag
 from .semdata import GenSpec, gen_graph, generate, load_dataset, save_dataset
-from .training import MechanismNet, TrainConfig, fit, fit_direct, predict
+from .training import DivergenceError, MechanismNet, TrainConfig, fit, fit_direct, predict
 
 OUT_ENV = "DIFFDAG_OUT"
 SHD_THRESHOLDS = (0.1, 0.3, 0.5, 0.7)
@@ -33,7 +33,7 @@ def _out_root(explicit: str | None) -> str:
     return explicit or os.environ.get(OUT_ENV, "runs")
 
 
-def _write_manifest(directory: str, command: str, config: dict) -> None:
+def _write_manifest(directory: str, command: str, config: dict, **fields) -> None:
     os.makedirs(directory, exist_ok=True)
     payload = json.dumps(config, sort_keys=True, default=str)
     manifest = {
@@ -42,6 +42,7 @@ def _write_manifest(directory: str, command: str, config: dict) -> None:
         "config_hash": hashlib.sha256(payload.encode()).hexdigest(),
         "seed": config.get("seed"),
         "diffdag_version": __version__,
+        **fields,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
@@ -110,7 +111,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _train_config_from_args(args, seed=None, perm_mode=None, prior=None, lam=None) -> TrainConfig:
+def _train_config_from_args(args, perm_mode=None, prior=None, lam=None) -> TrainConfig:
     return TrainConfig(
         learning_rate=args.lr,
         hidden=args.hidden,
@@ -122,26 +123,23 @@ def _train_config_from_args(args, seed=None, perm_mode=None, prior=None, lam=Non
         max_epochs=args.max_epochs,
         patience=args.patience,
         val_check_every=args.val_check_every,
-        seed=seed if seed is not None else args.seed,
+        seed=args.seed,
         sinkhorn_iters=args.sinkhorn_iters,
     )
-
-
-def _write_history_csv(path: str, result) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "wall_time"])
-        for epoch, train_loss, val_loss, wall in result.history_rows():
-            writer.writerow([epoch, train_loss, "" if val_loss is None else val_loss, wall])
 
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset)
     cfg = _train_config_from_args(args)
     fixed = dataset.truth if args.gt_dag else None
-    result = fit(dataset, cfg, fixed_adjacency=fixed)
     out_dir = os.path.join(_out_root(args.out), f"train-{dataset.name}-seed{cfg.seed}")
-    os.makedirs(out_dir, exist_ok=True)
+    config = {**cfg.to_dict(), "dataset": args.dataset}
+    try:
+        result = fit(dataset, cfg, fixed_adjacency=fixed)
+    except DivergenceError as exc:
+        _write_manifest(out_dir, "train", config, diverged=str(exc))
+        raise
+    _write_manifest(out_dir, "train", config)
     extras = {
         "mechanisms": result.mechanisms.state(),
         "train_seconds": result.wall_time_seconds,
@@ -152,8 +150,10 @@ def cmd_train(args) -> int:
         "train_config": cfg.to_dict(),
     }
     save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.json"), extras=extras)
-    _write_history_csv(os.path.join(out_dir, "history.csv"), result)
-    _write_manifest(out_dir, "train", {**cfg.to_dict(), "dataset": args.dataset})
+    with open(os.path.join(out_dir, "history.csv"), "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "val_loss", "wall_time"])
+        writer.writeheader()
+        writer.writerows(result.history)  # an epoch without a check has val_loss None, written ""
     print(
         f"trained {dataset.name}: best val loss {result.best_val_loss:.4f} "
         f"at epoch {result.best_epoch} in {result.wall_time_seconds:.1f}s -> {out_dir}"
@@ -249,7 +249,10 @@ def _grid_worker(task):
     dataset_dir, cfg_dict = task
     dataset = load_dataset(dataset_dir)
     cfg = TrainConfig(**cfg_dict)
-    result = fit(dataset, cfg)
+    try:
+        result = fit(dataset, cfg)
+    except DivergenceError as exc:
+        raise DivergenceError(f"perm_mode={cfg.perm_mode} prior_p={cfg.prior_p} lam={cfg.lam}: {exc}") from None
     return cfg_dict, result.best_val_loss, result.wall_time_seconds
 
 

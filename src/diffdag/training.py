@@ -9,6 +9,9 @@ with ``A`` one straight-through DAG sample per step, so gradients reach the
 mechanism weights, the edge logits and the permutation scores jointly.
 Validation uses the noise-free permutation with soft edge probabilities so
 early stopping does not chase sampling noise.
+
+``fit`` (with or without a frozen structure) and ``fit_direct`` share one
+step; a non-finite training or validation loss raises ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +46,8 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """A training or validation loss became non-finite; one message argument,
+    so it pickles back intact from worker processes."""
 
 
 @dataclass
@@ -77,6 +82,10 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.val_check_every < 1:
             raise ValueError(f"val_check_every must be >= 1, got {self.val_check_every}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < self.val_check_every:
+            raise ValueError(f"max_epochs must be >= val_check_every, got {self.max_epochs} < {self.val_check_every}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -260,13 +269,18 @@ def elbo_loss(
     relaxed: bool = False,
 ) -> Tensor:
     """Negative ELBO for one minibatch; differentiable w.r.t. all parameters."""
-    x = Tensor(batch)
     sample = sample_dag_parts(model, noise, relaxed=relaxed)
-    xhat = mechanisms.forward_all(x, sample.soft)
-    loss = ad.mul(ad.squared_norm(ad.sub(x, xhat)), Tensor(1.0 / batch.shape[0]))
+    loss = _reconstruction_loss(batch, mechanisms, sample.soft)
     if cfg.lam > 0:
         loss = ad.add(loss, ad.mul(_kl_term(model, sample.mask, cfg.prior_p), Tensor(cfg.lam)))
     return loss
+
+
+def _reconstruction_loss(batch: np.ndarray, mechanisms: MechanismNet, mask: Tensor) -> Tensor:
+    """Mean over rows of sum_i (x_i - f_i(mask_i * x))^2, taped."""
+    x = Tensor(batch)
+    xhat = mechanisms.forward_all(x, mask)
+    return ad.mul(ad.squared_norm(ad.sub(x, xhat)), Tensor(1.0 / batch.shape[0]))
 
 
 def validation_loss(
@@ -283,12 +297,8 @@ def validation_loss(
 
 
 def _masked_reconstruction_error(x: np.ndarray, mechanisms: MechanismNet, adjacency: np.ndarray) -> float:
-    xhat = _predict_values(x, mechanisms, adjacency)
+    xhat = mechanisms.forward_all(Tensor(x), Tensor(adjacency)).value
     return float(np.sum((x - xhat) ** 2) / x.shape[0])
-
-
-def _predict_values(x: np.ndarray, mechanisms: MechanismNet, adjacency: np.ndarray) -> np.ndarray:
-    return mechanisms.forward_all(Tensor(x), Tensor(adjacency)).value
 
 
 @dataclass
@@ -299,12 +309,6 @@ class FitResult:
     wall_time_seconds: float = 0.0
     best_val_loss: float = math.inf
     best_epoch: int = -1
-    fixed_adjacency: AdjacencyMatrix | None = None
-
-    def history_rows(self) -> list[tuple]:
-        return [
-            (h["epoch"], h["train_loss"], h["val_loss"], h["wall_time"]) for h in self.history
-        ]
 
 
 def fit(
@@ -318,6 +322,9 @@ def fit(
     ``fixed_adjacency`` trains mechanisms against a frozen known structure
     (no sampling, no sparsity term); it is the oracle baseline used to bound
     achievable reconstruction error.
+
+    Raises ``DivergenceError`` when a training loss (naming the epoch and the
+    batch's first row) or a validation loss (naming the epoch) is not finite.
     """
     if dataset.splits.train.size == 0 or dataset.splits.val.size == 0:
         raise ValueError("dataset needs nonempty train and validation splits")
@@ -331,14 +338,18 @@ def fit(
     # Zero scores are a saddle of the order objective; tiny seeded noise
     # breaks the tie without biasing any particular ordering.
     model.perm_params.scores.value = 0.1 * rng.standard_normal(model.perm_params.scores.value.shape)
-    params = list(mechanisms.parameters())
-    if fixed_adjacency is None:
-        params += model.parameters()
-    else:
-        fixed_rows = fixed_adjacency.entries.astype(np.float64)
-    opt = Adam(params, lr=cfg.learning_rate)
     x_train = dataset.train_X()
     x_val = dataset.val_X()
+    params = mechanisms.parameters()
+    if fixed_adjacency is None:
+        params += model.parameters()
+        batch_loss = partial(elbo_loss, model=model, mechanisms=mechanisms, cfg=cfg, noise=noise)
+        val_loss = partial(validation_loss, x_val, model, mechanisms, cfg)
+    else:
+        rows = fixed_adjacency.entries.astype(np.float64)
+        batch_loss = partial(_reconstruction_loss, mechanisms=mechanisms, mask=Tensor(rows))
+        val_loss = partial(_masked_reconstruction_error, x_val, mechanisms, rows)
+    opt = Adam(params, lr=cfg.learning_rate)
 
     best = math.inf
     best_epoch = -1
@@ -346,27 +357,12 @@ def fit(
     bad_checks = 0
     history: list[dict] = []
     t0 = time.perf_counter()
-    stop = False
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(x_train.shape[0])
-        epoch_losses = []
-        for start in range(0, x_train.shape[0], cfg.batch_size):
-            batch = x_train[order[start : start + cfg.batch_size]]
-            with Tape() as tape:
-                if fixed_adjacency is None:
-                    loss = elbo_loss(batch, model, mechanisms, cfg, noise)
-                else:
-                    xt = Tensor(batch)
-                    xhat = mechanisms.forward_all(xt, Tensor(fixed_rows))
-                    loss = ad.mul(ad.squared_norm(ad.sub(xt, xhat)), Tensor(1.0 / batch.shape[0]))
-                if not np.isfinite(loss.value):
-                    return _abort_diverged(
-                        model, mechanisms, history, best_state, best, best_epoch, t0, fixed_adjacency
-                    )
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            epoch_losses.append(float(loss.value))
+        epoch_losses = [
+            _step(opt, batch_loss, x_train[order[start : start + cfg.batch_size]], epoch, start)
+            for start in range(0, x_train.shape[0], cfg.batch_size)
+        ]
         record = {
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),
@@ -374,10 +370,9 @@ def fit(
             "wall_time": time.perf_counter() - t0,
         }
         if (epoch + 1) % cfg.val_check_every == 0:
-            if fixed_adjacency is None:
-                vloss = validation_loss(x_val, model, mechanisms, cfg)
-            else:
-                vloss = _masked_reconstruction_error(x_val, mechanisms, fixed_rows)
+            vloss = val_loss()
+            if not math.isfinite(vloss):
+                raise DivergenceError(f"validation loss is {vloss} at epoch {epoch}")
             record["val_loss"] = vloss
             if vloss < best - 1e-12:
                 best = vloss
@@ -386,15 +381,12 @@ def fit(
                 bad_checks = 0
             else:
                 bad_checks += 1
-                if bad_checks >= cfg.patience:
-                    stop = True
         history.append(record)
         if on_epoch is not None:
             on_epoch(epoch, model, mechanisms)
-        if stop:
+        if bad_checks >= cfg.patience:
             break
-    if best_state is not None:
-        _restore(model, mechanisms, best_state)
+    _restore(model, mechanisms, best_state)  # set: TrainConfig ensures a validation check runs
     return FitResult(
         model=model,
         mechanisms=mechanisms,
@@ -402,22 +394,22 @@ def fit(
         wall_time_seconds=time.perf_counter() - t0,
         best_val_loss=best,
         best_epoch=best_epoch,
-        fixed_adjacency=fixed_adjacency,
     )
 
 
-def _abort_diverged(model, mechanisms, history, best_state, best, best_epoch, t0, fixed_adjacency):
-    if best_state is not None:
-        _restore(model, mechanisms, best_state)
-    return FitResult(
-        model=model,
-        mechanisms=mechanisms,
-        history=history,
-        wall_time_seconds=time.perf_counter() - t0,
-        best_val_loss=best,
-        best_epoch=best_epoch,
-        fixed_adjacency=fixed_adjacency,
-    )
+def _step(opt: Adam, loss_fn, batch, epoch: int, start: int) -> float:
+    """One descent step on ``loss_fn(batch)``; returns the loss. A non-finite
+    loss raises before any parameter moves; ``epoch`` and ``start`` (the
+    batch's first row) only go into the message."""
+    with Tape() as tape:
+        loss = loss_fn(batch)
+        value = float(loss.value)
+        if not math.isfinite(value):
+            raise DivergenceError(f"training loss is {value} at epoch {epoch}, batch from row {start}")
+        tape.backward(loss)
+    opt.step()
+    opt.zero_grad()
+    return value
 
 
 def _snapshot(model: DpDagModel, mechanisms: MechanismNet) -> list[np.ndarray]:
@@ -445,13 +437,13 @@ def fit_direct(
     target = Tensor(truth.entries.astype(np.float64))
     opt = Adam(model.parameters(), lr=lr)
     scale = Tensor(1.0 / (model.n * model.n))
-    for _ in range(steps):
-        with Tape() as tape:
-            _, soft = sample_dag(model, noise)
-            loss = ad.mul(ad.squared_norm(ad.sub(soft, target)), scale)
-            tape.backward(loss)
-        opt.step()
-        opt.zero_grad()
+
+    def loss_fn(target: Tensor) -> Tensor:
+        _, soft = sample_dag(model, noise)
+        return ad.mul(ad.squared_norm(ad.sub(soft, target)), scale)
+
+    for step in range(steps):
+        _step(opt, loss_fn, target, step, 0)
     return model
 
 
@@ -471,4 +463,4 @@ def predict(
         if model is None:
             raise ValueError("need either a model or an explicit adjacency")
         adjacency = threshold_dag(model, threshold)
-    return _predict_values(x, mechanisms, adjacency.entries.astype(np.float64))
+    return mechanisms.forward_all(Tensor(x), Tensor(adjacency.entries.astype(np.float64))).value

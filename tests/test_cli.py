@@ -118,6 +118,35 @@ class TestValidation:
             run(["bench", "--modes", "quantum"])
 
 
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way to inf
+    def test_train_divergence_exits_1_and_records_manifest(self, small_run, tmp_path, capsys):
+        root, dataset, ckpt = small_run
+        out = str(tmp_path / "div")
+        assert run(["train", "--dataset", dataset, "--lr", "1e150", "--max-epochs", "4",
+                    "--hidden", "8", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training loss is") and err.count("\n") == 1
+        run_dir = tmp_path / "div" / "train-er-6-6-seed0-seed0"
+        assert not (run_dir / "checkpoint.json").exists()
+        assert not (run_dir / "history.csv").exists()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["command"] == "train"
+        assert err == f"error: {manifest['diverged']}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_grid_divergence_names_the_config(self, small_run, tmp_path, capsys):
+        # two worker processes: the error is pickled back to the parent
+        root, dataset, ckpt = small_run
+        out = str(tmp_path / "grid")
+        assert run(["grid", "--dataset", dataset, "--modes", "topk", "--priors", "0.05",
+                    "--lams", "0.0,0.01", "--lr", "1e150", "--max-epochs", "2",
+                    "--hidden", "8", "--workers", "2", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: perm_mode=topk prior_p=0.05 lam=0.0: training loss is")
+        assert not os.path.exists(os.path.join(out, "grid-report.json"))
+
+
 class TestBenchDirectGrid:
     def test_bench_writes_csv(self, tmp_path):
         out = str(tmp_path / "bench")

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from diffdag.model import DpDagModel, threshold_dag
 from diffdag.semdata import GenSpec, generate
 from diffdag.training import (
     Adam,
+    DivergenceError,
     MechanismNet,
     TrainConfig,
     bernoulli_kl,
@@ -57,6 +59,17 @@ class TestTrainConfig:
             tiny_cfg(patience=0)
         with pytest.raises(ValueError, match="perm_mode"):
             tiny_cfg(perm_mode="other")
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            tiny_cfg(batch_size=batch_size)
+
+    def test_rejects_max_epochs_below_val_check_every(self):
+        # no validation check would run, so there would be no best epoch
+        with pytest.raises(ValueError, match="max_epochs"):
+            tiny_cfg(max_epochs=1, val_check_every=2)
+        assert tiny_cfg(max_epochs=2, val_check_every=2).max_epochs == 2
 
 
 class TestBernoulliKl:
@@ -229,11 +242,31 @@ class TestFit:
         fit(ds, tiny_cfg(max_epochs=6), on_epoch=snap)
         assert seen and all(seen)
 
-    def test_divergent_data_returns_last_snapshot(self):
+    def test_nan_training_data_raises_at_epoch_0(self):
         ds = tiny_dataset()
         ds.X[:, 0] = np.nan  # every batch produces a non-finite loss
-        result = fit(ds, tiny_cfg(max_epochs=4))
-        assert result.history == []
+        with pytest.raises(DivergenceError, match="training loss is nan at epoch 0, batch from row 0$"):
+            fit(ds, tiny_cfg(max_epochs=4))
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_nan_validation_row_raises(self, oracle):
+        # one bad held-out row must not pass for a run of bad checks and an early stop
+        ds = tiny_dataset()
+        ds.X[ds.splits.val[0], 2] = np.nan
+        with pytest.raises(DivergenceError, match="validation loss is nan at epoch 1$"):
+            fit(ds, tiny_cfg(max_epochs=8), fixed_adjacency=ds.truth if oracle else None)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way to inf
+    def test_huge_learning_rate_raises(self):
+        ds = tiny_dataset()
+        with pytest.raises(DivergenceError, match=r"training loss is (nan|inf) at epoch \d+, batch from row \d+$"):
+            fit(ds, tiny_cfg(learning_rate=1e150))
+
+    def test_divergence_error_survives_pickling(self):
+        # grid workers send it back across a process boundary
+        err = DivergenceError("training loss is nan at epoch 3, batch from row 64")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceError and str(back) == str(err)
 
     def test_early_stopping_restores_best(self):
         ds = tiny_dataset()
