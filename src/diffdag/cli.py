@@ -8,6 +8,7 @@ recording the config hash, the seeds and the library version.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -135,8 +136,12 @@ def cmd_train(args) -> int:
     out_dir = os.path.join(_out_root(args.out), f"train-{dataset.name}-seed{cfg.seed}")
     config = {**cfg.to_dict(), "dataset": args.dataset}
     try:
-        result = fit(dataset, cfg, fixed_adjacency=fixed)
+        with np.errstate(over="ignore", invalid="ignore"):  # the divergence check reports it
+            result = fit(dataset, cfg, fixed_adjacency=fixed)
     except DivergenceError as exc:
+        for stale in ("checkpoint.json", "history.csv"):  # an earlier run's, in a reused --out
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, stale))
         _write_manifest(out_dir, "train", config, diverged=str(exc))
         raise
     _write_manifest(out_dir, "train", config)
@@ -227,7 +232,8 @@ def cmd_direct(args) -> int:
     for truth, name in truths:
         for lr in args.lrs:
             model = DpDagModel.create(truth.n, perm_mode=args.perm_mode)
-            fit_direct(truth, model, lr=lr, steps=args.steps, seed=args.seed)
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit_direct(truth, model, lr=lr, steps=args.steps, seed=args.seed)
             aucs = structure_aucs(model, truth)
             per_run.append({"graph": name, "lr": lr, **aucs})
     mean_pr = float(np.mean([r["dir_auc_pr"] for r in per_run]))
@@ -250,7 +256,8 @@ def _grid_worker(task):
     dataset = load_dataset(dataset_dir)
     cfg = TrainConfig(**cfg_dict)
     try:
-        result = fit(dataset, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = fit(dataset, cfg)
     except DivergenceError as exc:
         raise DivergenceError(f"perm_mode={cfg.perm_mode} prior_p={cfg.prior_p} lam={cfg.lam}: {exc}") from None
     return cfg_dict, result.best_val_loss, result.wall_time_seconds

@@ -221,6 +221,12 @@ def hungarian(profit) -> PermutationMatrix:
     The returned permutation maximizes the total profit picked up by its
     matrix form, ``sum_i profit[perm[i], i]`` (transposing the profit matrix
     yields the row-indexed formulation with the same optimal value).
+
+    Rows are added one at a time. Among equal reduced costs the search takes
+    the lowest column index, so ties always resolve the same way. A row whose
+    cheapest reduced column is still free takes it at once, with no search;
+    otherwise the search runs in buffers allocated once per call, masking a
+    scanned column with +inf rather than dropping it.
     """
     profit = np.asarray(profit, dtype=np.float64)
     if profit.ndim != 2 or profit.shape[0] != profit.shape[1]:
@@ -233,41 +239,50 @@ def hungarian(profit) -> PermutationMatrix:
     v = np.zeros(n)
     col4row = np.full(n, -1, dtype=np.int64)
     row4col = np.full(n, -1, dtype=np.int64)
+    reduced = np.empty(n)
+    shortest = np.empty(n)  # distance at which each scanned column was reached
+    todo = np.empty(n)  # tentative distances; +inf once a column is scanned
+    v_open = np.empty(n)  # v, with -inf at scanned columns so their reduced cost is +inf
+    pred = np.empty(n, dtype=np.int64)
+    better = np.empty(n, dtype=bool)
     for cur_row in range(n):
-        shortest = np.full(n, np.inf)
-        pred = np.full(n, -1, dtype=np.int64)
-        scanned_rows = np.zeros(n, dtype=bool)
-        scanned_cols = np.zeros(n, dtype=bool)
-        remaining = np.arange(n)
-        min_val = 0.0
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            scanned_rows[i] = True
-            reduced = min_val + cost[i, remaining] - u[i] - v[remaining]
-            better = reduced < shortest[remaining]
-            if better.any():
-                cols = remaining[better]
-                shortest[cols] = reduced[better]
-                pred[cols] = i
-            k = int(np.argmin(shortest[remaining]))
-            j = int(remaining[k])
-            min_val = shortest[j]
-            scanned_cols[j] = True
-            remaining = np.delete(remaining, k)
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = int(row4col[j])
+        # the first scan, at distance min_val = 0.0, in the later scans' order of operations
+        np.add(0.0, cost[cur_row], out=reduced)
+        reduced -= u[cur_row]
+        reduced -= v
+        j = int(reduced.argmin())
+        min_val = reduced[j]
+        if row4col[j] == -1:  # free: the update after the search would leave v[j] as it is
+            u[cur_row] += min_val
+            row4col[j] = cur_row
+            col4row[cur_row] = j
+            continue
+        todo[:] = reduced
+        v_open[:] = v
+        pred.fill(cur_row)
+        rows, cols = [], []
+        while True:
+            shortest[j] = min_val
+            todo[j] = np.inf
+            v_open[j] = -np.inf
+            cols.append(j)
+            i = int(row4col[j])
+            if i == -1:
+                break
+            rows.append(i)
+            np.add(min_val, cost[i], out=reduced)
+            reduced -= u[i]
+            reduced -= v_open
+            np.less(reduced, todo, out=better)
+            np.copyto(todo, reduced, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(todo.argmin())
+            min_val = todo[j]
         u[cur_row] += min_val
-        others = scanned_rows.copy()
-        others[cur_row] = False
-        rows = np.flatnonzero(others)
-        if rows.size:
-            u[rows] += min_val - shortest[col4row[rows]]
-        cols = np.flatnonzero(scanned_cols)
+        rows = np.array(rows)
+        u[rows] += min_val - shortest[col4row[rows]]
+        cols = np.array(cols)
         v[cols] -= min_val - shortest[cols]
-        j = sink
         while True:
             i = int(pred[j])
             row4col[j] = i

@@ -11,7 +11,8 @@ Validation uses the noise-free permutation with soft edge probabilities so
 early stopping does not chase sampling noise.
 
 ``fit`` (with or without a frozen structure) and ``fit_direct`` share one
-step; a non-finite training or validation loss raises ``DivergenceError``.
+step; a non-finite training or validation loss, or a non-finite sampler
+parameter after a ``fit_direct`` step, raises ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """A training or validation loss became non-finite; one message argument,
-    so it pickles back intact from worker processes."""
+    """A training or validation loss, or a ``fit_direct`` sampler parameter,
+    became non-finite; one message argument, so it pickles back intact from
+    worker processes."""
 
 
 @dataclass
@@ -431,7 +433,9 @@ def fit_direct(
     """Fit the sampler alone against an observed target DAG.
 
     Each step draws one straight-through sample and descends the mean squared
-    difference to the target adjacency.
+    difference to the target adjacency. That loss is taken on the hard 0/1
+    draw, so it stays finite; a step that leaves a sampler parameter
+    non-finite raises ``DivergenceError`` naming the step instead.
     """
     noise = GumbelSource(seed)
     target = Tensor(truth.entries.astype(np.float64))
@@ -444,6 +448,8 @@ def fit_direct(
 
     for step in range(steps):
         _step(opt, loss_fn, target, step, 0)
+        if not all(np.isfinite(p.value).all() for p in opt.params):
+            raise DivergenceError(f"sampler parameters are not finite after step {step}")
     return model
 
 

@@ -119,22 +119,25 @@ class TestValidation:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way to inf
+    # numpy's overflow warnings on the way to inf would fail the test: the
+    # one-line diagnostic is all that reaches stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_train_divergence_exits_1_and_records_manifest(self, small_run, tmp_path, capsys):
         root, dataset, ckpt = small_run
         out = str(tmp_path / "div")
-        assert run(["train", "--dataset", dataset, "--lr", "1e150", "--max-epochs", "4",
-                    "--hidden", "8", "--out", out]) == 1
+        flags = ["train", "--dataset", dataset, "--max-epochs", "4", "--hidden", "8", "--out", out]
+        assert run(flags) == 0  # an earlier run's artifacts in the same directory
+        capsys.readouterr()
+        assert run(flags + ["--lr", "1e150"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: training loss is") and err.count("\n") == 1
         run_dir = tmp_path / "div" / "train-er-6-6-seed0-seed0"
-        assert not (run_dir / "checkpoint.json").exists()
-        assert not (run_dir / "history.csv").exists()
+        assert os.listdir(run_dir) == ["manifest.json"]
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert err == f"error: {manifest['diverged']}\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_divergence_names_the_config(self, small_run, tmp_path, capsys):
         # two worker processes: the error is pickled back to the parent
         root, dataset, ckpt = small_run
@@ -145,6 +148,15 @@ class TestDivergence:
         err = capsys.readouterr().err
         assert err.startswith("error: perm_mode=topk prior_p=0.05 lam=0.0: training loss is")
         assert not os.path.exists(os.path.join(out, "grid-report.json"))
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_direct_divergence_is_one_line(self, tmp_path, capsys):
+        for mode in ("topk", "sinkhorn"):
+            assert run(["direct", "--n", "5", "--m", "5", "--graphs", "1", "--lrs", "1e308",
+                        "--steps", "20", "--perm-mode", mode, "--out", str(tmp_path / mode)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: sampler parameters are not finite after step") and err.count("\n") == 1
 
 
 class TestBenchDirectGrid:

@@ -194,9 +194,116 @@ class TestSinkhornOp:
         assert np.abs(p.value.sum(axis=0) - 1.0).max() <= 1e-9
 
 
+def _reference_hungarian(profit) -> PermutationMatrix:
+    """Reference: the same solver with fresh arrays for every row, dropping
+    each scanned column from a shrinking index array."""
+    profit = np.asarray(profit, dtype=np.float64)
+    cost = -profit
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    col4row = np.full(n, -1, dtype=np.int64)
+    row4col = np.full(n, -1, dtype=np.int64)
+    for cur_row in range(n):
+        shortest = np.full(n, np.inf)
+        pred = np.full(n, -1, dtype=np.int64)
+        scanned_rows = np.zeros(n, dtype=bool)
+        scanned_cols = np.zeros(n, dtype=bool)
+        remaining = np.arange(n)
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            scanned_rows[i] = True
+            reduced = min_val + cost[i, remaining] - u[i] - v[remaining]
+            better = reduced < shortest[remaining]
+            if better.any():
+                cols = remaining[better]
+                shortest[cols] = reduced[better]
+                pred[cols] = i
+            k = int(np.argmin(shortest[remaining]))
+            j = int(remaining[k])
+            min_val = shortest[j]
+            scanned_cols[j] = True
+            remaining = np.delete(remaining, k)
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = int(row4col[j])
+        u[cur_row] += min_val
+        others = scanned_rows.copy()
+        others[cur_row] = False
+        rows = np.flatnonzero(others)
+        if rows.size:
+            u[rows] += min_val - shortest[col4row[rows]]
+        cols = np.flatnonzero(scanned_cols)
+        v[cols] -= min_val - shortest[cols]
+        j = sink
+        while True:
+            i = int(pred[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur_row:
+                break
+    return PermutationMatrix(row4col)
+
+
+def _assert_same_as_reference(profit):
+    np.testing.assert_array_equal(hungarian(profit).perm, _reference_hungarian(profit).perm)
+
+
+_PERMS = {n: np.array(list(itertools.permutations(range(n)))) for n in range(1, 8)}
+
+
 class TestHungarian:
     def test_identity_profit(self):
         assert hungarian(np.eye(5)) == PermutationMatrix.identity(5)
+
+    def test_empty_and_single(self):
+        np.testing.assert_array_equal(hungarian(np.zeros((0, 0))).perm, [])
+        np.testing.assert_array_equal(hungarian([[-2.5]]).perm, [0])
+
+    # multiples of 2**-10 below 2**10: every sum and potential is exact, so
+    # optimality is checked with ==, and ties are common
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.integers(-(2**20), 2**20).map(lambda k: k / 1024))
+        )
+    )
+    def test_matches_brute_force_property(self, profit):
+        n = profit.shape[0]
+        pm = hungarian(profit)
+        assert sorted(pm.perm.tolist()) == list(range(n))
+        assert profit[pm.perm, np.arange(n)].sum() == profit[_PERMS[n], np.arange(n)].sum(axis=1).max()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: arrays(np.float64, (n, n), elements=st.floats(-1e6, 1e6))))
+    def test_same_permutation_as_reference(self, profit):
+        _assert_same_as_reference(profit)
+
+    def test_same_permutation_as_reference_with_ties(self, rng):
+        # integer-valued entries tie often; the lowest column index must win every tie
+        for _ in range(400):
+            n = int(rng.integers(1, 10))
+            _assert_same_as_reference(rng.integers(-3, 4, (n, n)).astype(np.float64))
+        for n in (2, 5, 9):
+            for value in (0.0, 1.0, -3.5):
+                _assert_same_as_reference(np.full((n, n), value))
+
+    def test_same_permutation_as_reference_on_saturated_sinkhorn(self, rng):
+        # most entries fall below 1e-12, so many reduced costs nearly tie
+        for k in range(40):
+            n = int(rng.integers(2, 61))
+            scores = 5.0 * rng.normal(size=(n, n)) + GumbelSource(k).gumbel((n, n))
+            _assert_same_as_reference(sinkhorn_operator(scores, iters=20, tau=0.2).value)
+
+    def test_same_permutation_as_reference_on_n200_draws(self, rng):
+        params = PermutationParams(n=200, mode=SINKHORN, scores=rng.normal(size=(200, 200)))
+        noise = GumbelSource(17)
+        for _ in range(50):
+            hard, soft = sample_permutation_sinkhorn(params, noise)
+            np.testing.assert_array_equal(hard.perm, _reference_hungarian(soft.value).perm)
 
     def test_two_by_two(self):
         pm = hungarian(np.array([[1.0, 2.0], [2.0, 1.0]]))

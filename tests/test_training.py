@@ -335,6 +335,29 @@ class TestFitDirect:
         aucs = structure_aucs(model, ds.truth)
         assert aucs["dir_auc_roc"] > 0.9
 
+    # The loss is taken on the hard 0/1 draw and stays finite, so only the
+    # parameter check after each step can see a divergence.
+    @pytest.mark.parametrize("mode", [TOPK, SINKHORN])
+    def test_nan_logits_raise_naming_the_step(self, mode):
+        truth = AdjacencyMatrix(np.triu(np.ones((4, 4), dtype=np.int8), 1))
+        model = DpDagModel.create(4, perm_mode=mode)
+        model.edge_params.logits.value[:] = np.nan
+        with pytest.raises(DivergenceError, match="sampler parameters are not finite after step 0$"):
+            fit_direct(truth, model, steps=50)
+
+    @pytest.mark.parametrize("mode", [TOPK, SINKHORN])
+    def test_huge_learning_rate_stays_finite_until_it_overflows(self, mode):
+        truth = AdjacencyMatrix(np.triu(np.ones((4, 4), dtype=np.int8), 1))
+        # Adam moves each parameter by at most about lr a step: 50 steps of
+        # 1e150 end huge but finite, which is no divergence
+        model = fit_direct(truth, DpDagModel.create(4, perm_mode=mode), lr=1e150, steps=50)
+        values = np.concatenate([p.value.ravel() for p in model.parameters()])
+        assert np.isfinite(values).all() and np.abs(values).max() > 1e150
+        # steps of 1e308 overflow to inf within a few steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"sampler parameters are not finite after step \d+$"):
+                fit_direct(truth, DpDagModel.create(4, perm_mode=mode), lr=1e308, steps=50)
+
 
 class TestPredict:
     def test_empty_structure_gives_constant_columns(self):
