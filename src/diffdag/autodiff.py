@@ -10,8 +10,16 @@ vocabulary holds only the ops the library calls, with no general
 broadcasting: operands are scalars (0-d), vectors (1-d) or matrices (2-d),
 and every adjoint is finite-difference checked on its own.
 
-Gradients accumulate across backward calls; callers zero them explicitly
-between optimizer steps via :meth:`Tensor.zero_grad`.
+Only leaves get a ``.grad``: the ``requires_grad`` tensors, such as
+parameters, that no node of the tape produced. An op output's gradient lives
+only inside :meth:`Tape.backward` and is dropped once its node has consumed
+it. An adjoint may pass its incoming gradient on unchanged, so the tape
+treats the first gradient it receives for a tensor as borrowed and never
+writes into it; it adds in place only into buffers it allocated itself. An
+adjoint returns ``None`` for an input that does not require a gradient
+instead of computing a result that would be thrown away. Gradients
+accumulate across backward calls; callers zero them explicitly between
+optimizer steps via :meth:`Tensor.zero_grad`.
 """
 
 from __future__ import annotations
@@ -60,12 +68,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + g
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -131,29 +133,51 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d loss / d leaf into every requires_grad tensor."""
+        """Accumulate d loss / d leaf into every requires_grad leaf's ``.grad``.
+
+        Gradients flow through a per-call workspace, so stale ``.grad`` from
+        earlier steps leaks only into the final leaf accumulation. An op
+        output's entry is popped when its node consumes it; whatever is left
+        at the end belongs to leaves. The first gradient written for a tensor
+        is borrowed: adjoints such as ``add``'s pass ``g`` itself on, so it
+        may be shared and is never written to. A second write allocates a new
+        buffer that this call owns and adds every later write into in place.
+        A leaf whose ``.grad`` is ``None`` takes an owned buffer as it is and
+        a copy of a borrowed one. Sums run in the same order either way, so
+        the result does not depend on which buffers were reused.
+        """
         if loss.value.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-        # Per-call gradient workspace: stale .grad from earlier steps must not
-        # leak into this propagation, only into the final leaf accumulation.
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
         tensors: dict[int, Tensor] = {id(loss): loss}
+        owned: set[int] = set()
         for node in reversed(self.nodes):
-            g = grads.get(id(node.output))
+            g = grads.pop(id(node.output), None)
             if g is None:
                 continue
             for inp, gi in zip(node.inputs, node.backward_fn(g, node)):
                 if gi is None or not inp.requires_grad:
                     continue
                 key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
+                acc = grads.get(key)
+                if acc is None:
                     grads[key] = gi
                     tensors[key] = inp
-        for key, t in tensors.items():
-            if t.requires_grad:
-                t.accumulate_grad(grads[key])
+                elif key in owned:
+                    np.add(acc, gi, out=acc)
+                else:  # out= keeps a 0-d sum an array that later writes can add into
+                    grads[key] = np.add(acc, gi, out=np.empty(np.shape(acc)))
+                    owned.add(key)
+        for key, g in grads.items():
+            t = tensors[key]
+            if not t.requires_grad:
+                continue
+            if t.grad is not None:
+                t.grad = t.grad + g
+            elif key in owned:
+                t.grad = g
+            else:
+                t.grad = np.array(g, dtype=np.float64, copy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +213,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: shapes {a.value.shape} and {b.value.shape} incompatible")
 
     def bw(g, node):
-        av, bv = node.saved
-        return g @ bv.T, av.T @ g
+        (ta, tb), (av, bv) = node.inputs, node.saved
+        return g @ bv.T if ta.requires_grad else None, av.T @ g if tb.requires_grad else None
 
     return _record("matmul", (a, b), a.value @ b.value, bw, (a.value, b.value))
 
@@ -206,13 +230,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), a.value + b.value, bw, (a.value, b.value))
 
 
+def add_row(x: Tensor, b: Tensor) -> Tensor:
+    """``x + b`` with the (1, k) row ``b`` added to every row of the (m, k) ``x``."""
+    x, b = _as_tensor(x), _as_tensor(b)
+    if x.value.ndim != 2 or b.value.shape != (1, x.value.shape[1]):
+        raise DimensionError(f"add-row: shapes {x.value.shape} and {b.value.shape} incompatible")
+
+    def bw(g, node):
+        # ones.T @ g, not g.sum(axis=0): the same sum, in the same order, as
+        # the matmul(ones, b) this op replaced
+        return g, node.saved.T @ g if node.inputs[1].requires_grad else None
+
+    return _record("add-row", (x, b), x.value + b.value, bw, np.ones((x.value.shape[0], 1)))
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _need_same_shape("sub", a, b)
 
     def bw(g, node):
         av, bv = node.saved
-        return _reduce_like(g, av), _reduce_like(-g, bv)
+        return _reduce_like(g, av), _reduce_like(-g, bv) if node.inputs[1].requires_grad else None
 
     return _record("sub", (a, b), a.value - b.value, bw, (a.value, b.value))
 
@@ -222,8 +260,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape("elementwise-mul", a, b)
 
     def bw(g, node):
-        av, bv = node.saved
-        return _reduce_like(g * bv, av), _reduce_like(g * av, bv)
+        (ta, tb), (av, bv) = node.inputs, node.saved
+        return (
+            _reduce_like(g * bv, av) if ta.requires_grad else None,
+            _reduce_like(g * av, bv) if tb.requires_grad else None,
+        )
 
     return _record("elementwise-mul", (a, b), a.value * b.value, bw, (a.value, b.value))
 
@@ -277,10 +318,17 @@ def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     x = _as_tensor(x)
 
     def bw(g, node):
-        xv, a = node.saved
-        return (g * np.where(xv > 0, 1.0, a),)
+        return (g * node.saved,)
 
-    return _record("leaky-relu", (x,), np.maximum(x.value, alpha * x.value), bw, (x.value, alpha))
+    out = alpha * x.value
+    np.maximum(x.value, out, out=out)
+    if _active_tape() is None or not x.requires_grad:
+        return Tensor(out)
+    # every entry is exactly 1.0 or alpha, so g * slope is bitwise
+    # g * np.where(x > 0, 1.0, alpha)
+    positive = x.value > 0
+    slope = positive + ~positive * alpha
+    return _record("leaky-relu", (x,), out, bw, slope)
 
 
 def absolute(x: Tensor) -> Tensor:
@@ -345,10 +393,13 @@ def block_matmul(a: Tensor, b: Tensor, blocks: int) -> Tensor:
     b3 = b.value.reshape(blocks, k, p)
 
     def bw(g, node):
-        av3, bv3 = node.saved
+        (ta, tb), (av3, bv3) = node.inputs, node.saved
         g3 = g.reshape(m, blocks, p).transpose(1, 0, 2)
-        ga = np.matmul(g3, bv3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(m, rows)
-        gb = np.matmul(av3.transpose(0, 2, 1), g3).reshape(rows, p)
+        ga = gb = None
+        if ta.requires_grad:
+            ga = np.matmul(g3, bv3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(m, rows)
+        if tb.requires_grad:
+            gb = np.matmul(av3.transpose(0, 2, 1), g3).reshape(rows, p)
         return ga, gb
 
     out = np.matmul(a3, b3).transpose(1, 0, 2).reshape(m, blocks * p)

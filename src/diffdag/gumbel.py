@@ -214,6 +214,9 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     return ad._record("sinkhorn", (m,), p, bw, saved)
 
 
+_MAX_PROFIT = 1e300
+
+
 def hungarian(profit) -> PermutationMatrix:
     """Exact maximum-profit assignment in O(n^3).
 
@@ -227,12 +230,17 @@ def hungarian(profit) -> PermutationMatrix:
     cheapest reduced column is still free takes it at once, with no search;
     otherwise the search runs in buffers allocated once per call, masking a
     scanned column with +inf rather than dropping it.
+
+    Entries must be finite and at most 1e300 in magnitude; anything else
+    raises ``ParameterError``.
     """
     profit = np.asarray(profit, dtype=np.float64)
     if profit.ndim != 2 or profit.shape[0] != profit.shape[1]:
         raise ParameterError(f"profit must be square, got shape {profit.shape}")
-    if not np.isfinite(profit).all():
-        raise ParameterError("profit entries must be finite")
+    # the bound leaves over 10^8 of headroom below the float64 limit (~1.8e308)
+    # for the sums of entries that reduced costs and potentials hold; NaN fails it
+    if not (np.abs(profit) <= _MAX_PROFIT).all():
+        raise ParameterError(f"profit entries must be finite and at most {_MAX_PROFIT:g} in magnitude")
     cost = -profit
     n = cost.shape[0]
     u = np.zeros(n)

@@ -182,21 +182,31 @@ def save_checkpoint(model: DpDagModel, path, extras: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[DpDagModel, dict]:
+    """Inverse of :func:`save_checkpoint`. Sampler arrays that are not
+    numeric or hold a non-finite value raise ValueError naming the key."""
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {blob.get('version')}")
+    arrays = {}
+    for key in ("edge_logits", "perm_scores"):
+        try:
+            arrays[key] = np.array(blob[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: {key} is not a numeric array") from None
+        if not np.isfinite(arrays[key]).all():
+            raise ValueError(f"{path}: {key} holds non-finite values")
     n = int(blob["n"])
     tau = float(blob["temperature"])
     model = DpDagModel(
         n=n,
-        edge_params=EdgeParams(n=n, logits=np.array(blob["edge_logits"]), temperature=tau),
+        edge_params=EdgeParams(n=n, logits=arrays["edge_logits"], temperature=tau),
         perm_params=PermutationParams(
             n=n,
             mode=blob["perm_mode"],
-            scores=np.array(blob["perm_scores"]),
+            scores=arrays["perm_scores"],
             temperature=tau,
             sinkhorn_iters=int(blob["sinkhorn_iters"]),
         ),

@@ -295,15 +295,43 @@ def save_dataset(ds: SemDataset, directory) -> None:
 
 
 def load_dataset(directory) -> SemDataset:
+    """Inverse of :func:`save_dataset`. A ``shape`` in meta.json that differs
+    from data.csv's, or split indices that are not integers, fall outside
+    the rows or appear twice (within a split or across two), raise
+    ValueError naming the field."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
     x = np.loadtxt(os.path.join(directory, "data.csv"), delimiter=",", ndmin=2)
+    if "shape" in meta and list(meta["shape"]) != list(x.shape):
+        raise ValueError(f"{directory}: meta.json shape {meta['shape']} does not match data.csv's {list(x.shape)}")
     truth = load_edge_list(os.path.join(directory, "truth.edges"), n=x.shape[1])
-    splits = Splits(
-        train=np.asarray(meta["splits"]["train"], dtype=np.int64),
-        val=np.asarray(meta["splits"]["val"], dtype=np.int64),
-        test=np.asarray(meta["splits"]["test"], dtype=np.int64),
-    )
+    splits = _load_splits(directory, meta["splits"], x.shape[0])
     name = meta.get("name", os.path.basename(os.path.normpath(str(directory))))
     body = {k: v for k, v in meta.items() if k not in ("splits", "name", "shape")}
     return SemDataset(X=x, truth=truth, splits=splits, name=name, meta=body)
+
+
+_SPLITS = ("train", "val", "test")
+
+
+def _load_splits(directory, splits: dict, rows: int) -> Splits:
+    owner = np.full(rows, -1)  # position in _SPLITS of the split holding each row
+    parts = {}
+    for k, part in enumerate(_SPLITS):
+        idx = np.asarray(splits[part])
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ValueError(f"{directory}: splits.{part} must be a list of integer row indices")
+        idx = idx.astype(np.int64)
+        outside = idx[(idx < 0) | (idx >= rows)]
+        if outside.size:
+            raise ValueError(f"{directory}: splits.{part} index {outside[0]} is outside data.csv's {rows} rows")
+        values, counts = np.unique(idx, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"{directory}: splits.{part} lists row {values[counts > 1][0]} twice")
+        taken = idx[owner[idx] >= 0]
+        if taken.size:
+            other = _SPLITS[owner[taken[0]]]
+            raise ValueError(f"{directory}: splits.{other} and splits.{part} both hold row {taken[0]}")
+        owner[idx] = k
+        parts[part] = idx
+    return Splits(**parts)

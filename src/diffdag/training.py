@@ -139,12 +139,11 @@ class MechanismNet:
     def forward_all(self, x: Tensor, mask: Tensor) -> Tensor:
         """Predict every column of the batch ``x`` (b x n) at once; column i
         sees ``x`` through row i of ``mask`` (n x n) only."""
-        ones = Tensor(np.ones((x.value.shape[0], 1)))
         # (x * a_i) @ W1_i == x @ (diag(a_i) W1_i): mask the weights, not the batch
         w1 = ad.mul(self.w1, ad.matmul(ad.transpose(mask), self._expand))
-        h = ad.leaky_relu(ad.add(ad.matmul(x, w1), ad.matmul(ones, self.b1)))
-        h = ad.leaky_relu(ad.add(ad.block_matmul(h, self.w2, self.n), ad.matmul(ones, self.b2)))
-        return ad.add(ad.block_matmul(h, self.w3, self.n), ad.matmul(ones, self.b3))
+        h = ad.leaky_relu(ad.add_row(ad.matmul(x, w1), self.b1))
+        h = ad.leaky_relu(ad.add_row(ad.block_matmul(h, self.w2, self.n), self.b2))
+        return ad.add_row(ad.block_matmul(h, self.w3, self.n), self.b3)
 
     def state(self) -> dict:
         """Version-1 checkpoint layout: one ``{w1, b1, w2, b2, w3, b3}`` dict per node."""
@@ -224,12 +223,23 @@ class Adam:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for k, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * p.grad
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * p.grad * p.grad
-            p.value = p.value - self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+            # in place, in the operation order of m = b1 * m + (1 - b1) * g
+            # and v = b2 * v + (1 - b2) * g * g
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * p.grad * p.grad
+            step = m / b1c
+            step *= self.lr
+            den = v / b2c
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            # rebound, not written in place: callers hold earlier value arrays
+            p.value = p.value - step
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -1,9 +1,151 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_grads_close
 from diffdag import autodiff as ad
 from diffdag.autodiff import DimensionError, Tape, Tensor, straight_through
+
+
+def _reference_backward(tape: Tape, loss: Tensor) -> None:
+    """Reference: the backward pass that gave every requires_grad tensor,
+    intermediates included, a ``.grad`` copy and summed fan-in into fresh
+    arrays."""
+    grads = {id(loss): np.ones_like(loss.value)}
+    tensors = {id(loss): loss}
+    for node in reversed(tape.nodes):
+        g = grads.get(id(node.output))
+        if g is None:
+            continue
+        for inp, gi in zip(node.inputs, node.backward_fn(g, node)):
+            if gi is None or not inp.requires_grad:
+                continue
+            key = id(inp)
+            if key in grads:
+                grads[key] = grads[key] + gi
+            else:
+                grads[key] = gi
+                tensors[key] = inp
+    for key, t in tensors.items():
+        if t.requires_grad:
+            if t.grad is None:
+                t.grad = np.array(grads[key], dtype=np.float64, copy=True)
+            else:
+                t.grad = t.grad + grads[key]
+
+
+# Random op graphs over 3x3 matrices and scalars. Operands are picked from
+# everything built so far, so tensors fan out, and graphs mix leaves with
+# constants. The ops that hand their incoming gradient on unchanged (add,
+# sub's first operand, straight-through, transpose's view) are the ones whose
+# borrowed buffers the engine must never write to.
+_GRAPH_OPS = ("add", "sub", "mul", "matmul", "transpose", "straight-through", "leaky-relu", "sigmoid", "add-row")
+
+
+def _build_graph(values, requires, scalars, row, ops):
+    mats = [Tensor(v.copy(), requires_grad=r) for v, r in zip(values, requires)]
+    leaves = [t for t in mats if t.requires_grad]
+    svals = [Tensor(scalars[0], requires_grad=True), Tensor(scalars[1])]
+    brow = Tensor(row.copy(), requires_grad=True)
+    leaves += [svals[0], brow]
+    outputs = []
+    for op, i, j, flip in ops:
+        a, b = mats[i % len(mats)], mats[j % len(mats)]
+        if op in ("add", "sub", "mul"):
+            fn = {"add": ad.add, "sub": ad.sub, "mul": ad.mul}[op]
+            if j % 3 == 0:  # a scalar operand, on either side
+                b = svals[j % 2]
+            out = fn(b, a) if flip else fn(a, b)
+        elif op == "matmul":
+            out = ad.matmul(a, b)
+        elif op == "transpose":
+            out = ad.transpose(a)
+        elif op == "straight-through":
+            out = straight_through(np.rint(a.value), a)
+        elif op == "leaky-relu":
+            out = ad.leaky_relu(a, 0.1)
+        elif op == "sigmoid":
+            out = ad.sigmoid(a)
+        else:
+            out = ad.add_row(a, brow)
+        mats.append(out)
+        outputs.append(out)
+    w = Tensor(np.linspace(-1.0, 1.0, 9).reshape(3, 3))
+    return ad.tsum(ad.mul(mats[-1], w)), leaves, outputs
+
+
+def _grad_bytes(t: Tensor):
+    return None if t.grad is None else (np.shape(t.grad), np.asarray(t.grad, dtype=np.float64).tobytes())
+
+
+class TestBackwardEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        requires=st.lists(st.booleans(), min_size=1, max_size=4).map(lambda r: [True] + r),
+        ops=st.lists(
+            st.tuples(st.sampled_from(_GRAPH_OPS), st.integers(0, 99), st.integers(0, 99), st.booleans()),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_leaf_gradients_match_reference(self, seed, requires, ops):
+        rng = np.random.default_rng(seed)
+        values = [rng.uniform(-1.5, 1.5, (3, 3)) for _ in requires]
+        scalars = rng.uniform(-1.5, 1.5, 2)
+        row = rng.uniform(-1.5, 1.5, (1, 3))
+        runs = []
+        for backward in (Tape.backward, _reference_backward):
+            grads = []
+            with Tape() as tape:
+                loss, leaves, outputs = _build_graph(values, requires, scalars, row, ops)
+            # a second call accumulates into the .grad the first one left
+            for _ in range(2):
+                backward(tape, loss)
+                grads.append([_grad_bytes(t) for t in leaves])
+            runs.append((grads, leaves, outputs))
+        (grads, leaves, outputs), (ref_grads, _, _) = runs
+        assert grads == ref_grads
+        assert all(t.grad is None for t in outputs)
+        held = [t.grad for t in leaves if t.grad is not None]
+        assert all(g.dtype == np.float64 for g in held)
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(held) for b in held[k + 1 :])
+
+    def test_intermediates_get_no_grad(self, rng):
+        w = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+        with Tape() as tape:
+            h = ad.add(ad.matmul(w, w), w)
+            loss = ad.tsum(ad.sigmoid(h))
+        tape.backward(loss)
+        assert w.grad is not None and h.grad is None and loss.grad is None
+
+    def test_leaves_never_share_a_gradient_buffer(self, rng):
+        # add hands g itself to both operands; each leaf needs its own copy
+        x = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
+        y = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.tsum(ad.mul(ad.add(x, y), Tensor(rng.uniform(-1, 1, (2, 2)))))
+        tape.backward(loss)
+        assert not np.shares_memory(x.grad, y.grad)
+
+    def test_constant_operands_get_no_adjoint(self, rng):
+        w = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
+        c = Tensor(rng.uniform(-1, 1, (2, 4)))
+        cases = [
+            (lambda: ad.matmul(c, ad.transpose(w)), 0),
+            (lambda: ad.matmul(ad.transpose(c), w), 0),
+            (lambda: ad.mul(c, w), 0),
+            (lambda: ad.sub(w, c), 1),
+            (lambda: ad.block_matmul(c, ad.transpose(w), 2), 0),
+            (lambda: ad.add_row(w, Tensor(np.ones((1, 4)))), 1),
+        ]
+        for build, const in cases:
+            with Tape() as tape:
+                out = build()
+            node = tape.nodes[-1]
+            adjoints = node.backward_fn(np.ones_like(out.value), node)
+            assert adjoints[const] is None and adjoints[1 - const] is not None
 
 
 class TestForwardValues:
@@ -42,11 +184,38 @@ class TestForwardValues:
         np.testing.assert_allclose(out.value, a @ dense, rtol=0, atol=1e-12)
 
     def test_leaky_relu_matches_where_form(self, rng):
-        x = np.concatenate([rng.uniform(-3, 3, 200), [0.0, -0.0, 1e-300, -1e-300]])
+        x = np.concatenate([rng.uniform(-3, 3, 200), [0.0, -0.0, 1e-300, -1e-300, np.nan]])
+        g = np.concatenate([rng.normal(size=200), [1.0, -1.0, -0.0, 0.0, 2.0]])
         for alpha in (0.0, 0.01, 0.5, 0.999):
-            out = ad.leaky_relu(Tensor(x), alpha).value
             ref = np.where(x > 0, x, alpha * x)
-            assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
+            ref_grad = g * np.where(x > 0, 1.0, alpha)
+            untaped = ad.leaky_relu(Tensor(x), alpha).value
+            leaf = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                out = ad.leaky_relu(leaf, alpha)
+                loss = ad.tsum(ad.mul(out, Tensor(g)))
+            tape.backward(loss)
+            for got, want in ((untaped, ref), (out.value, ref), (leaf.grad, ref_grad)):
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_add_row_matches_matmul_form(self, rng):
+        # the bias adjoint is ones.T @ g, bit for bit the matmul(ones, b) route
+        x0, b0 = rng.normal(size=(128, 40)), rng.normal(size=(1, 40))
+        w = Tensor(rng.normal(size=(128, 40)))
+        results = []
+        for build in (
+            lambda x, b: ad.add_row(x, b),
+            lambda x, b: ad.add(x, ad.matmul(Tensor(np.ones((128, 1))), b)),
+        ):
+            x, b = Tensor(x0, requires_grad=True), Tensor(b0, requires_grad=True)
+            with Tape() as tape:
+                out = build(x, b)
+                loss = ad.tsum(ad.mul(ad.sigmoid(out), w))
+            tape.backward(loss)
+            results.append((out.value, x.grad, b.grad))
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBackwardExamples:
@@ -129,6 +298,12 @@ class TestShapeErrors:
         with pytest.raises(DimensionError, match="block-matmul"):
             ad.block_matmul(Tensor(np.ones((2, 6))), Tensor(np.ones((4, 2))), 2)
 
+    def test_add_row_needs_matching_row(self):
+        with pytest.raises(DimensionError, match="add-row"):
+            ad.add_row(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 2))))
+        with pytest.raises(DimensionError, match="add-row"):
+            ad.add_row(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
     def test_leaky_relu_rejects_slope_outside_unit_interval(self):
         for alpha in (-0.1, 1.0, 2.0, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
@@ -185,6 +360,8 @@ class TestGradChecks:
         b = Tensor(rng.uniform(-2, 2, (6, 2)), requires_grad=True)
         w = Tensor(rng.uniform(-2, 2, (2, 6)))
         assert_grads_close(lambda: ad.tsum(ad.mul(ad.block_matmul(a, b, 3), w)), [a, b])
+        r = Tensor(rng.uniform(-2, 2, (1, 6)), requires_grad=True)
+        assert_grads_close(lambda: ad.tsum(ad.mul(ad.add_row(a, r), w)), [a, r])
 
 
 class TestStraightThrough:

@@ -327,6 +327,17 @@ class TestHungarian:
         with pytest.raises(ParameterError, match="finite"):
             hungarian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_entries_near_float_limit(self, rng):
+        signs = rng.choice([-1.0, 1.0], (3, 3))
+        with pytest.raises(ParameterError, match="1e\\+300"):
+            hungarian(1.7e308 * signs)
+        # at the bound the solver runs without overflow and stays optimal
+        profit = 1e300 * signs * rng.uniform(0.5, 1.0, (3, 3))
+        pm = hungarian(profit)
+        best = max(profit[list(sigma), np.arange(3)].sum() for sigma in itertools.permutations(range(3)))
+        assert profit[pm.perm, np.arange(3)].sum() == best
+
     def test_picks_argmax_cells_of_soft_matrix(self, rng):
         # the hard matrix must be the best matching on the soft matrix itself
         soft = sinkhorn_operator(rng.uniform(-3, 3, (6, 6))).value

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,17 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"hello": "world"}')
         with pytest.raises(ValueError, match="not a"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, bad", [("edge_logits", np.nan), ("perm_scores", np.inf)])
+    def test_non_finite_sampler_arrays_rejected(self, tmp_path, rng, key, bad):
+        model = make_model(4, mode=SINKHORN, logits=rng.normal(size=(4, 4)), scores=rng.normal(size=(4, 4)))
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        blob = json.loads(path.read_text())
+        blob[key][1][2] = bad
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=f"{key} holds non-finite"):
             load_checkpoint(path)
 
     def test_inconsistent_sizes_rejected(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,28 @@ class TestDatasetIO:
         np.testing.assert_array_equal(back.splits.test, ds.splits.test)
         assert back.name == ds.name
         assert back.meta["standardized"] is True
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta: meta["splits"]["val"].append(10**6), "splits.val index 1000000 is outside"),
+            (lambda meta: meta["splits"]["test"].append(-1), "splits.test index -1 is outside"),
+            (lambda meta: meta["splits"]["val"].append(meta["splits"]["train"][0]), "splits.train and splits.val both"),
+            (lambda meta: meta["splits"]["test"].append(meta["splits"]["test"][0]), "splits.test lists row .* twice"),
+            (lambda meta: meta["splits"].update(train=[0.5]), "splits.train must be a list of integer"),
+            (lambda meta: meta.update(shape=[7, 9]), r"shape \[7, 9\] does not match data.csv's \[120, 6\]"),
+        ],
+        ids=["val-out-of-range", "negative-index", "overlap", "repeat", "non-integer", "shape"],
+    )
+    def test_load_rejects_bad_meta(self, tmp_path, edit, message):
+        ds = generate(GenSpec(graph_kind="er", n=6, m=8, N=120, seed=5))
+        save_dataset(ds, tmp_path / "d")
+        path = tmp_path / "d" / "meta.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message):
+            load_dataset(tmp_path / "d")
 
     def test_load_csv_sachs_shape(self, tmp_path):
         rng = np.random.default_rng(0)
