@@ -14,10 +14,10 @@ Only leaves get a ``.grad``: the ``requires_grad`` tensors, such as
 parameters, that no node of the tape produced. An op output's gradient lives
 only inside :meth:`Tape.backward` and is dropped once its node has consumed
 it. An adjoint may pass its incoming gradient on unchanged, so the tape
-treats the first gradient it receives for a tensor as borrowed and never
-writes into it; it adds in place only into buffers it allocated itself. An
-adjoint returns ``None`` for an input that does not require a gradient
-instead of computing a result that would be thrown away. Gradients
+treats every gradient it receives as borrowed and never writes into it: a
+second gradient for the same tensor is summed into a new array, and a leaf
+gets a copy. An adjoint returns ``None`` for an input that does not require
+a gradient instead of computing a result that would be thrown away. Gradients
 accumulate across backward calls; callers zero them explicitly between
 optimizer steps via :meth:`Tensor.zero_grad`.
 """
@@ -138,19 +138,15 @@ class Tape:
         Gradients flow through a per-call workspace, so stale ``.grad`` from
         earlier steps leaks only into the final leaf accumulation. An op
         output's entry is popped when its node consumes it; whatever is left
-        at the end belongs to leaves. The first gradient written for a tensor
-        is borrowed: adjoints such as ``add``'s pass ``g`` itself on, so it
-        may be shared and is never written to. A second write allocates a new
-        buffer that this call owns and adds every later write into in place.
-        A leaf whose ``.grad`` is ``None`` takes an owned buffer as it is and
-        a copy of a borrowed one. Sums run in the same order either way, so
-        the result does not depend on which buffers were reused.
+        at the end belongs to leaves. Adjoints such as ``add``'s pass ``g``
+        itself on, so a gradient may be shared and is never written to: a
+        second write for a tensor is summed into a new array, and a leaf whose
+        ``.grad`` is ``None`` gets a copy.
         """
         if loss.value.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
         tensors: dict[int, Tensor] = {id(loss): loss}
-        owned: set[int] = set()
         for node in reversed(self.nodes):
             g = grads.pop(id(node.output), None)
             if g is None:
@@ -159,25 +155,19 @@ class Tape:
                 if gi is None or not inp.requires_grad:
                     continue
                 key = id(inp)
-                acc = grads.get(key)
-                if acc is None:
+                if key in grads:
+                    grads[key] = grads[key] + gi
+                else:
                     grads[key] = gi
                     tensors[key] = inp
-                elif key in owned:
-                    np.add(acc, gi, out=acc)
-                else:  # out= keeps a 0-d sum an array that later writes can add into
-                    grads[key] = np.add(acc, gi, out=np.empty(np.shape(acc)))
-                    owned.add(key)
         for key, g in grads.items():
             t = tensors[key]
             if not t.requires_grad:
                 continue
-            if t.grad is not None:
-                t.grad = t.grad + g
-            elif key in owned:
-                t.grad = g
-            else:
+            if t.grad is None:
                 t.grad = np.array(g, dtype=np.float64, copy=True)
+            else:  # asarray: a sum of 0-d arrays is a numpy scalar
+                t.grad = np.asarray(t.grad + g)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +310,7 @@ def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     def bw(g, node):
         return (g * node.saved,)
 
-    out = alpha * x.value
-    np.maximum(x.value, out, out=out)
+    out = np.maximum(x.value, alpha * x.value)
     if _active_tape() is None or not x.requires_grad:
         return Tensor(out)
     # every entry is exactly 1.0 or alpha, so g * slope is bitwise

@@ -232,12 +232,7 @@ class Adam:
             m += (1.0 - self.beta1) * p.grad
             v *= self.beta2
             v += (1.0 - self.beta2) * p.grad * p.grad
-            step = m / b1c
-            step *= self.lr
-            den = v / b2c
-            np.sqrt(den, out=den)
-            den += self.eps
-            step /= den
+            step = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
             # rebound, not written in place: callers hold earlier value arrays
             p.value = p.value - step
 

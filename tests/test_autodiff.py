@@ -109,6 +109,8 @@ class TestBackwardEngine:
         assert grads == ref_grads
         assert all(t.grad is None for t in outputs)
         held = [t.grad for t in leaves if t.grad is not None]
+        # 0-d included: a second call must not turn .grad into a numpy scalar
+        assert all(type(t.grad) is np.ndarray and t.grad.shape == t.shape for t in leaves if t.grad is not None)
         assert all(g.dtype == np.float64 for g in held)
         assert not any(np.shares_memory(a, b) for k, a in enumerate(held) for b in held[k + 1 :])
 
@@ -198,6 +200,20 @@ class TestForwardValues:
             for got, want in ((untaped, ref), (out.value, ref), (leaf.grad, ref_grad)):
                 assert np.array_equal(got, want, equal_nan=True)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+            # 0-d operands, taped and untaped
+            for x0, g0 in ((-2.0, 1.5), (3.0, -1.0), (-0.0, 2.0), (1e-300, -0.5), (np.nan, 1.0)):
+                ref = np.where(x0 > 0, x0, alpha * x0)
+                ref_grad = g0 * np.where(x0 > 0, 1.0, alpha)
+                untaped = ad.leaky_relu(Tensor(x0), alpha).value
+                leaf = Tensor(x0, requires_grad=True)
+                with Tape() as tape:
+                    out = ad.leaky_relu(leaf, alpha)
+                    loss = ad.mul(out, Tensor(g0))
+                tape.backward(loss)
+                for got, want in ((untaped, ref), (out.value, ref), (leaf.grad, ref_grad)):
+                    assert np.shape(got) == ()
+                    assert np.array_equal(got, want, equal_nan=True)
+                    assert np.signbit(got) == np.signbit(want)
 
     def test_add_row_matches_matmul_form(self, rng):
         # the bias adjoint is ones.T @ g, bit for bit the matmul(ones, b) route

@@ -560,12 +560,15 @@ class TestMechanismCheckpoint:
 
 class TestAdam:
     def test_descends_quadratic(self):
+        # a vector and a 0-d parameter, stepped by one optimizer
         p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
-        opt = Adam([p], lr=0.1)
+        s = Tensor(4.0, requires_grad=True)
+        opt = Adam([p, s], lr=0.1)
         for _ in range(300):
             with Tape() as tape:
-                loss = ad.squared_norm(p)
+                loss = ad.add(ad.squared_norm(p), ad.squared_norm(s))
             tape.backward(loss)
             opt.step()
             opt.zero_grad()
         assert np.abs(p.value).max() < 1e-2
+        assert s.value.shape == () and abs(s.value) < 1e-2
