@@ -7,8 +7,12 @@ plain function that computes its value in numpy and records one node with its
 own adjoint through :func:`_record`; a fused op defined elsewhere (the
 Sinkhorn operator in :mod:`diffdag.gumbel`) records itself the same way. The
 vocabulary holds only the ops the library calls, with no general
-broadcasting: operands are scalars (0-d), vectors (1-d) or matrices (2-d),
-and every adjoint is finite-difference checked on its own.
+broadcasting, and every adjoint is finite-difference checked on its own.
+Operands are at most 3-d. Elementwise ops and sums take any rank;
+``add``, ``sub`` and ``mul`` pair equal shapes, or a scalar with anything.
+``matmul`` and ``add_row`` name the 3-d forms they accept, ``spread`` turns
+a matrix into a stack and ``slices_to_columns`` turns a stack of columns
+back into a matrix. ``softmax_rows`` and ``transpose`` take matrices only.
 
 Only leaves get a ``.grad``: the ``requires_grad`` tensors, such as
 parameters, that no node of the tape produced. An op output's gradient lives
@@ -57,8 +61,8 @@ class Tensor:
 
     def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
-        if self.value.ndim > 2:
-            raise DimensionError(f"tensors are at most 2-d, got shape {self.value.shape}")
+        if self.value.ndim > 3:
+            raise DimensionError(f"tensors are at most 3-d, got shape {self.value.shape}")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -68,35 +72,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -198,15 +173,27 @@ def _reduce_like(g, operand_value):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` in one of three forms: (m, k) @ (k, p) -> (m, p);
+    (m, k) @ (s, k, p) -> (s, m, p), one matrix times every slice of ``b``;
+    and (s, m, k) @ (s, k, p) -> (s, m, p), slice by slice."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(f"matmul: shapes {a.value.shape} and {b.value.shape} incompatible")
+    av, bv = a.value, b.value
+    forms = av.ndim == 2 and bv.ndim in (2, 3) or av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0]
+    if not forms or av.shape[-1] != bv.shape[-2]:
+        raise DimensionError(f"matmul: shapes {av.shape} and {bv.shape} incompatible")
 
     def bw(g, node):
         (ta, tb), (av, bv) = node.inputs, node.saved
-        return g @ bv.T if ta.requires_grad else None, av.T @ g if tb.requires_grad else None
+        ga = gb = None
+        if ta.requires_grad:
+            ga = np.matmul(g, bv.swapaxes(-1, -2))
+            if ga.ndim > av.ndim:  # a was shared by every slice
+                ga = ga.sum(axis=0)
+        if tb.requires_grad:
+            gb = np.matmul(av.swapaxes(-1, -2), g)
+        return ga, gb
 
-    return _record("matmul", (a, b), a.value @ b.value, bw, (a.value, b.value))
+    return _record("matmul", (a, b), np.matmul(av, bv), bw, (av, bv))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -221,17 +208,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_row(x: Tensor, b: Tensor) -> Tensor:
-    """``x + b`` with the (1, k) row ``b`` added to every row of the (m, k) ``x``."""
+    """``x + b`` with a row added to every row: the (1, k) ``b`` to the
+    (m, k) ``x``, or slice by slice the (s, 1, k) ``b`` to the (s, m, k) ``x``."""
     x, b = _as_tensor(x), _as_tensor(b)
-    if x.value.ndim != 2 or b.value.shape != (1, x.value.shape[1]):
-        raise DimensionError(f"add-row: shapes {x.value.shape} and {b.value.shape} incompatible")
+    xs = x.value.shape
+    if x.value.ndim not in (2, 3) or b.value.shape != xs[:-2] + (1, xs[-1]):
+        raise DimensionError(f"add-row: shapes {xs} and {b.value.shape} incompatible")
 
     def bw(g, node):
-        # ones.T @ g, not g.sum(axis=0): the same sum, in the same order, as
-        # the matmul(ones, b) this op replaced
-        return g, node.saved.T @ g if node.inputs[1].requires_grad else None
+        # ones.T @ g, not a sum over the rows: the same sum, in the same
+        # order, as the matmul(ones, b) this op replaced
+        return g, np.matmul(node.saved.T, g) if node.inputs[1].requires_grad else None
 
-    return _record("add-row", (x, b), x.value + b.value, bw, np.ones((x.value.shape[0], 1)))
+    return _record("add-row", (x, b), x.value + b.value, bw, np.ones((xs[-2], 1)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -358,41 +347,29 @@ def transpose(x: Tensor) -> Tensor:
     return _record("transpose", (x,), x.value.T.copy(), bw, None)
 
 
-def block_matmul(a: Tensor, b: Tensor, blocks: int) -> Tensor:
-    """Block-diagonal matmul ``a @ diag(b_0, ..., b_{blocks-1})``.
-
-    ``a`` is (m, blocks*k) and ``b`` is (blocks*k, p): row block i of ``b``
-    (k x p) maps column block i of ``a`` (m x k) to column block i of the
-    (m, blocks*p) result. The off-diagonal zeros are never formed.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if (
-        a.value.ndim != 2
-        or b.value.ndim != 2
-        or blocks < 1
-        or a.value.shape[1] != b.value.shape[0]
-        or b.value.shape[0] % blocks
-    ):
-        raise DimensionError(
-            f"block-matmul: shapes {a.value.shape} and {b.value.shape} do not split into {blocks} blocks"
-        )
-    m, (rows, p) = a.value.shape[0], b.value.shape
-    k = rows // blocks
-    a3 = a.value.reshape(m, blocks, k).transpose(1, 0, 2)  # (blocks, m, k)
-    b3 = b.value.reshape(blocks, k, p)
+def spread(x: Tensor, k: int) -> Tensor:
+    """(m, n) -> (m, n, k): every entry of the matrix ``x`` repeated along a
+    new last axis of length ``k``."""
+    x = _as_tensor(x)
+    if x.value.ndim != 2 or k < 1:
+        raise DimensionError(f"spread: need a matrix and k >= 1, got shape {x.value.shape} and k = {k}")
 
     def bw(g, node):
-        (ta, tb), (av3, bv3) = node.inputs, node.saved
-        g3 = g.reshape(m, blocks, p).transpose(1, 0, 2)
-        ga = gb = None
-        if ta.requires_grad:
-            ga = np.matmul(g3, bv3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(m, rows)
-        if tb.requires_grad:
-            gb = np.matmul(av3.transpose(0, 2, 1), g3).reshape(rows, p)
-        return ga, gb
+        return (g.sum(axis=-1),)
 
-    out = np.matmul(a3, b3).transpose(1, 0, 2).reshape(m, blocks * p)
-    return _record("block-matmul", (a, b), out, bw, (a3, b3))
+    return _record("spread", (x,), np.repeat(x.value[:, :, None], k, axis=2), bw, None)
+
+
+def slices_to_columns(x: Tensor) -> Tensor:
+    """(s, m, 1) -> (m, s): slice j of ``x`` becomes column j."""
+    x = _as_tensor(x)
+    if x.value.ndim != 3 or x.value.shape[2] != 1:
+        raise DimensionError(f"slices-to-columns: need shape (s, m, 1), got {x.value.shape}")
+
+    def bw(g, node):
+        return (g.T[:, :, None],)
+
+    return _record("slices-to-columns", (x,), x.value[:, :, 0].T, bw, None)
 
 
 def straight_through(hard, soft: Tensor) -> Tensor:

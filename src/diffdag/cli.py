@@ -12,6 +12,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -51,8 +52,8 @@ def _write_manifest(directory: str, command: str, config: dict, **fields) -> Non
 
 def _positive_float(text: str) -> float:
     v = float(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return v
 
 
@@ -70,12 +71,26 @@ def _prior_value(text: str) -> float:
     return v
 
 
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return v
+
+
+def _nonempty(items: list, text: str) -> list:
+    # an empty list would leave a command nothing to run and nothing to report
+    if not items:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of at least one value, got {text!r}")
+    return items
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
+    return _nonempty([float(t) for t in text.split(",") if t], text)
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+    return _nonempty([int(t) for t in text.split(",") if t], text)
 
 
 def _mode_list(text: str) -> list[str]:
@@ -83,7 +98,7 @@ def _mode_list(text: str) -> list[str]:
     for m in modes:
         if m not in (SINKHORN, TOPK):
             raise argparse.ArgumentTypeError(f"unknown permutation mode {m!r}")
-    return modes
+    return _nonempty(modes, text)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["er", "sf"], default="er")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--m", type=int, default=10)
-    p.add_argument("--graphs", type=int, default=10, help="number of generated target graphs")
+    p.add_argument("--graphs", type=_positive_int, default=10, help="number of generated target graphs")
     p.add_argument("--first-seed", type=int, default=0)
     p.add_argument("--perm-mode", choices=[SINKHORN, TOPK], default=TOPK)
     p.add_argument("--lrs", type=_float_list, default=[1.0, 0.1, 0.01, 0.001])

@@ -15,7 +15,8 @@ from the tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +51,12 @@ class ParameterError(ValueError):
     """Invalid sampler parameterization (temperature, mode, shapes)."""
 
 
+def _check_temperature(tau) -> None:
+    # math.isfinite also rejects NaN, which passes a bare tau <= 0 check
+    if not (math.isfinite(tau) and tau > 0):
+        raise ParameterError(f"temperature must be finite and positive, got {tau}")
+
+
 class GumbelSource:
     """Stream of standard Gumbel(0, 1) noise from a counter-based generator.
 
@@ -70,9 +77,6 @@ class GumbelSource:
         np.negative(u, out=u)
         return u
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high=high, size=size)
-
 
 @dataclass
 class EdgeParams:
@@ -89,8 +93,7 @@ class EdgeParams:
             self.logits = Tensor(np.asarray(self.logits, dtype=np.float64), requires_grad=True)
         if self.logits.value.shape != (self.n, self.n):
             raise ParameterError(f"edge logits must be {self.n}x{self.n}, got {self.logits.value.shape}")
-        if self.temperature <= 0:
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
+        _check_temperature(self.temperature)
 
     def probabilities(self) -> np.ndarray:
         """sigmoid(logits): the implied per-pair edge probabilities."""
@@ -129,8 +132,7 @@ class PermutationParams:
             raise ParameterError(
                 f"{self.mode} scores must have shape {want}, got {self.scores.value.shape}"
             )
-        if self.temperature <= 0:
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
+        _check_temperature(self.temperature)
         if self.sinkhorn_iters < 1:
             raise ParameterError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
 
@@ -181,8 +183,7 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     ``"sinkhorn"`` node whose adjoint replays the saved iterates in reverse:
     exactly the gradient of the unrolled loop, at whatever round it stopped.
     """
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
+    _check_temperature(tau)
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     m = m if isinstance(m, Tensor) else Tensor(m)
@@ -305,13 +306,16 @@ def softsort(s, tau: float = 1.0) -> Tensor:
     """Row-stochastic relaxation of the descending argsort of ``s``.
 
     Row i is a softmax over ``-|sorted_desc(s)[i] - s[j]| / tau``; its argmax
-    reproduces the stable descending argsort on distinct inputs.
+    reproduces the stable descending argsort on distinct inputs. ``s`` is a
+    plain score vector or column, or an (n, 1) ``Tensor``; a Tensor is used
+    as given, so gradients reach the caller's own tensor.
     """
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    s = s if isinstance(s, Tensor) else Tensor(s)
-    if s.value.ndim == 1:
-        s = Tensor(s.value.reshape(-1, 1), requires_grad=s.requires_grad)
+    _check_temperature(tau)
+    if not isinstance(s, Tensor):
+        s = np.asarray(s, dtype=np.float64)
+        s = Tensor(s.reshape(-1, 1) if s.ndim == 1 else s)
+    if s.value.ndim != 2 or s.value.shape[1] != 1:
+        raise ad.DimensionError(f"softsort: scores must be an (n, 1) column, got shape {s.value.shape}")
     n = s.value.shape[0]
     order = np.argsort(-s.value.ravel(), kind="stable")
     p_sort = np.zeros((n, n))

@@ -182,14 +182,19 @@ def save_checkpoint(model: DpDagModel, path, extras: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[DpDagModel, dict]:
-    """Inverse of :func:`save_checkpoint`. Sampler arrays that are not
-    numeric or hold a non-finite value raise ValueError naming the key."""
+    """Inverse of :func:`save_checkpoint`. A missing key, or a sampler array
+    that is not numeric or holds a non-finite value, raises ValueError naming
+    the key; a temperature that is not finite and positive raises
+    ``ParameterError``."""
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {blob.get('version')}")
+    for key in ("n", "perm_mode", "temperature", "sinkhorn_iters", "edge_logits", "perm_scores"):
+        if key not in blob:
+            raise ValueError(f"{path}: missing key {key!r}")
     arrays = {}
     for key in ("edge_logits", "perm_scores"):
         try:

@@ -68,8 +68,9 @@ class TrainConfig:
     sinkhorn_iters: int = 20
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name, v in (("learning_rate", self.learning_rate), ("temperature", self.temperature)):
+            if not (math.isfinite(v) and v > 0):  # NaN passes a bare v <= 0 check
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.hidden < 1:
             raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
         if self.perm_mode not in (SINKHORN, TOPK):
@@ -78,8 +79,6 @@ class TrainConfig:
             raise ValueError(f"prior_p must lie in [1e-2, 1e-1], got {self.prior_p}")
         if not (0.0 <= self.lam <= 1e-1):
             raise ValueError(f"lam must lie in [0, 1e-1], got {self.lam}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.val_check_every < 1:
@@ -93,17 +92,21 @@ class TrainConfig:
         return dict(self.__dict__)
 
 
+# the stacked parameters whose axis 0 is the node
+_NODE_MAJOR = ("w1", "b1", "w2", "b2", "w3")
+
+
 class MechanismNet:
     """n independent 3-layer MLPs, one per node (n inputs -> h -> h -> 1).
 
     Node i's input is the full observation row multiplied by row i of the
     sampled adjacency, so it can only depend on unmasked parents.
 
-    The n networks are stored as six stacked tensors and node i owns block i
-    of each: columns ``i*h:(i+1)*h`` of ``w1`` (n, n*h), ``b1`` and ``b2``
-    (1, n*h); rows ``i*h:(i+1)*h`` of ``w2`` (n*h, h) and ``w3`` (n*h, 1);
-    column i of ``b3`` (1, n). One forward pass then records the same few
-    tape nodes for every n.
+    The n networks are stored node-major, with axis 0 the node: ``w1``
+    (n, n, h), ``b1`` (n, 1, h), ``w2`` (n, h, h), ``b2`` (n, 1, h) and
+    ``w3`` (n, h, 1), so ``w1[i]`` ... ``w3[i]`` are node i's own arrays;
+    ``b3`` is the (1, n) row of output biases. One forward pass then records
+    the same few tape nodes for every n.
     """
 
     def __init__(self, n: int, hidden: int, rng: np.random.Generator):
@@ -124,14 +127,11 @@ class MechanismNet:
         self.n = n
         self.hidden = hidden
 
-        def join(key, axis):
-            return Tensor(np.concatenate([layer[key] for layer in layers], axis=axis), requires_grad=True)
+        def stack(key):
+            return Tensor(np.stack([layer[key] for layer in layers]), requires_grad=True)
 
-        self.w1, self.b1 = join("w1", 1), join("b1", 1)
-        self.w2, self.b2 = join("w2", 0), join("b2", 1)
-        self.w3, self.b3 = join("w3", 0), join("b3", 1)
-        # (A^T @ expand)[k, i*h + j] = A[i, k]: row i of the mask spread over node i's columns
-        self._expand = Tensor(np.kron(np.eye(n), np.ones((1, hidden))))
+        self.w1, self.b1, self.w2, self.b2, self.w3 = map(stack, _NODE_MAJOR)
+        self.b3 = Tensor(np.concatenate([layer["b3"] for layer in layers], axis=1), requires_grad=True)
 
     def parameters(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
@@ -140,25 +140,17 @@ class MechanismNet:
         """Predict every column of the batch ``x`` (b x n) at once; column i
         sees ``x`` through row i of ``mask`` (n x n) only."""
         # (x * a_i) @ W1_i == x @ (diag(a_i) W1_i): mask the weights, not the batch
-        w1 = ad.mul(self.w1, ad.matmul(ad.transpose(mask), self._expand))
-        h = ad.leaky_relu(ad.add_row(ad.matmul(x, w1), self.b1))
-        h = ad.leaky_relu(ad.add_row(ad.block_matmul(h, self.w2, self.n), self.b2))
-        return ad.add_row(ad.block_matmul(h, self.w3, self.n), self.b3)
+        w1 = ad.mul(self.w1, ad.spread(mask, self.hidden))
+        h = ad.leaky_relu(ad.add_row(ad.matmul(x, w1), self.b1))  # (n, b, h)
+        h = ad.leaky_relu(ad.add_row(ad.matmul(h, self.w2), self.b2))
+        return ad.add_row(ad.slices_to_columns(ad.matmul(h, self.w3)), self.b3)
 
     def state(self) -> dict:
         """Version-1 checkpoint layout: one ``{w1, b1, w2, b2, w3, b3}`` dict per node."""
-        h = self.hidden
         layers = []
         for i in range(self.n):
-            block = slice(i * h, (i + 1) * h)
-            layer = {
-                "w1": self.w1.value[:, block],
-                "b1": self.b1.value[:, block],
-                "w2": self.w2.value[block, :],
-                "b2": self.b2.value[:, block],
-                "w3": self.w3.value[block, :],
-                "b3": self.b3.value[:, i : i + 1],
-            }
+            layer = {key: getattr(self, key).value[i] for key in _NODE_MAJOR}
+            layer["b3"] = self.b3.value[:, i : i + 1]
             layers.append({k: v.tolist() for k, v in layer.items()})
         return {"n": self.n, "hidden": self.hidden, "layers": layers}
 

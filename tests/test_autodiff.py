@@ -134,13 +134,17 @@ class TestBackwardEngine:
     def test_constant_operands_get_no_adjoint(self, rng):
         w = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
         c = Tensor(rng.uniform(-1, 1, (2, 4)))
+        w3 = Tensor(rng.uniform(-1, 1, (3, 4, 2)), requires_grad=True)
+        c3 = Tensor(rng.uniform(-1, 1, (3, 2, 4)))
         cases = [
             (lambda: ad.matmul(c, ad.transpose(w)), 0),
             (lambda: ad.matmul(ad.transpose(c), w), 0),
             (lambda: ad.mul(c, w), 0),
             (lambda: ad.sub(w, c), 1),
-            (lambda: ad.block_matmul(c, ad.transpose(w), 2), 0),
+            (lambda: ad.matmul(c, w3), 0),
+            (lambda: ad.matmul(c3, w3), 0),
             (lambda: ad.add_row(w, Tensor(np.ones((1, 4)))), 1),
+            (lambda: ad.add_row(w3, Tensor(np.ones((3, 1, 2)))), 1),
         ]
         for build, const in cases:
             with Tape() as tape:
@@ -175,15 +179,21 @@ class TestForwardValues:
         assert np.isfinite(out).all()
         np.testing.assert_array_equal(out[3:], big[3:])
 
-    def test_block_matmul_is_block_diagonal_product(self, rng):
-        blocks, m, k, p = 3, 4, 2, 5
-        a = rng.uniform(-2, 2, (m, blocks * k))
-        b = rng.uniform(-2, 2, (blocks * k, p))
-        dense = np.zeros((blocks * k, blocks * p))
-        for i in range(blocks):
-            dense[i * k : (i + 1) * k, i * p : (i + 1) * p] = b[i * k : (i + 1) * k]
-        out = ad.block_matmul(Tensor(a), Tensor(b), blocks)
-        np.testing.assert_allclose(out.value, a @ dense, rtol=0, atol=1e-12)
+    def test_stacked_ops_work_slice_by_slice(self, rng):
+        s, m, k, p = 3, 4, 2, 5
+        a, a3 = rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (s, m, k))
+        b3, r3 = rng.uniform(-2, 2, (s, k, p)), rng.uniform(-2, 2, (s, 1, k))
+        shared = ad.matmul(Tensor(a), Tensor(b3)).value
+        paired = ad.matmul(Tensor(a3), Tensor(b3)).value
+        rows = ad.add_row(Tensor(a3), Tensor(r3)).value
+        for i in range(s):
+            np.testing.assert_array_equal(shared[i], a @ b3[i])
+            np.testing.assert_array_equal(paired[i], a3[i] @ b3[i])
+            np.testing.assert_array_equal(rows[i], a3[i] + r3[i])
+        x = rng.uniform(-2, 2, (m, k))
+        spread = ad.spread(Tensor(x), p).value
+        assert spread.shape == (m, k, p) and all(np.array_equal(spread[:, :, j], x) for j in range(p))
+        np.testing.assert_array_equal(ad.slices_to_columns(Tensor(b3[:, :, :1])).value, b3[:, :, 0].T)
 
     def test_leaky_relu_matches_where_form(self, rng):
         x = np.concatenate([rng.uniform(-3, 3, 200), [0.0, -0.0, 1e-300, -1e-300, np.nan]])
@@ -308,26 +318,48 @@ class TestShapeErrors:
         with pytest.raises(DimensionError, match="add"):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
-    def test_block_matmul_mismatched_blocks(self):
-        with pytest.raises(DimensionError, match="block-matmul"):
-            ad.block_matmul(Tensor(np.ones((2, 6))), Tensor(np.ones((6, 2))), 4)
-        with pytest.raises(DimensionError, match="block-matmul"):
-            ad.block_matmul(Tensor(np.ones((2, 6))), Tensor(np.ones((4, 2))), 2)
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((2, 3, 4), (4, 5)),  # a stack times one matrix is not a named form
+            ((2, 3, 4), (3, 4, 5)),  # slice counts differ
+            ((2, 3, 4), (2, 3, 5)),  # inner sizes differ
+            ((3, 4), (2, 3, 5)),  # inner sizes differ, shared matrix
+            ((4,), (2, 4, 5)),
+        ],
+    )
+    def test_matmul_rejects_unnamed_3d_forms(self, a, b):
+        with pytest.raises(DimensionError, match="matmul"):
+            ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
     def test_add_row_needs_matching_row(self):
-        with pytest.raises(DimensionError, match="add-row"):
-            ad.add_row(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 2))))
-        with pytest.raises(DimensionError, match="add-row"):
-            ad.add_row(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        for x, b in (
+            ((2, 3), (1, 2)),
+            ((2, 3), (2, 3)),
+            ((2, 3, 4), (1, 4)),  # a stack needs one row per slice
+            ((2, 3, 4), (3, 1, 4)),
+            ((2, 3, 4), (2, 3, 4)),
+            ((2, 3), (2, 1, 3)),
+        ):
+            with pytest.raises(DimensionError, match="add-row"):
+                ad.add_row(Tensor(np.ones(x)), Tensor(np.ones(b)))
+
+    def test_spread_and_slices_to_columns_check_their_shapes(self):
+        for x, k in (((3,), 2), ((2, 3, 1), 2), ((2, 3), 0)):
+            with pytest.raises(DimensionError, match="spread"):
+                ad.spread(Tensor(np.ones(x)), k)
+        for x in ((3, 4), (3, 4, 2)):
+            with pytest.raises(DimensionError, match="slices-to-columns"):
+                ad.slices_to_columns(Tensor(np.ones(x)))
 
     def test_leaky_relu_rejects_slope_outside_unit_interval(self):
         for alpha in (-0.1, 1.0, 2.0, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
                 ad.leaky_relu(Tensor(np.ones(3)), alpha)
 
-    def test_rank_three_rejected(self):
+    def test_rank_four_rejected(self):
         with pytest.raises(DimensionError):
-            Tensor(np.ones((2, 2, 2)))
+            Tensor(np.ones((2, 2, 2, 2)))
 
 
 class TestGradChecks:
@@ -375,9 +407,22 @@ class TestGradChecks:
         a = Tensor(rng.uniform(-2, 2, (2, 6)), requires_grad=True)
         b = Tensor(rng.uniform(-2, 2, (6, 2)), requires_grad=True)
         w = Tensor(rng.uniform(-2, 2, (2, 6)))
-        assert_grads_close(lambda: ad.tsum(ad.mul(ad.block_matmul(a, b, 3), w)), [a, b])
         r = Tensor(rng.uniform(-2, 2, (1, 6)), requires_grad=True)
         assert_grads_close(lambda: ad.tsum(ad.mul(ad.add_row(a, r), w)), [a, r])
+        # the stacked forms: (m,k) @ (s,k,p), (s,m,k) @ (s,k,p), 3-d add-row,
+        # a matrix spread into a stack and a stack of columns read back
+        s3 = Tensor(rng.uniform(-2, 2, (3, 6, 2)), requires_grad=True)
+        a3 = Tensor(rng.uniform(-2, 2, (3, 2, 6)), requires_grad=True)
+        r3 = Tensor(rng.uniform(-2, 2, (3, 1, 6)), requires_grad=True)
+        w3 = Tensor(rng.uniform(-2, 2, (3, 2, 2)))
+        w36 = Tensor(rng.uniform(-2, 2, (3, 2, 6)))
+        assert_grads_close(lambda: ad.tsum(ad.mul(ad.matmul(a, s3), w3)), [a, s3])
+        assert_grads_close(lambda: ad.tsum(ad.mul(ad.matmul(a3, s3), w3)), [a3, s3])
+        assert_grads_close(lambda: ad.tsum(ad.mul(ad.add_row(a3, r3), w36)), [a3, r3])
+        w623 = Tensor(rng.uniform(-2, 2, (6, 2, 3)))
+        assert_grads_close(lambda: ad.tsum(ad.mul(ad.spread(b, 3), w623)), [b])
+        col = Tensor(rng.uniform(-2, 2, (6, 2, 1)), requires_grad=True)
+        assert_grads_close(lambda: ad.tsum(ad.mul(ad.slices_to_columns(col), w)), [col])
 
 
 class TestStraightThrough:

@@ -113,6 +113,36 @@ class TestValidation:
         assert run(["train", "--dataset", "/nonexistent/path"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--lr", "--tau"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_nonpositive_float_is_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--dataset", "whatever", flag, value])
+        assert exc.value.code == 2
+        assert "expected a finite positive number" in capsys.readouterr().err
+
+    # each once ran into numpy warnings and then `error: list index out of range`
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["direct", "--graphs", "0"],
+            ["direct", "--lrs", ""],
+            ["direct", "--lrs", ","],
+            ["grid", "--dataset", "x", "--modes", ""],
+            ["grid", "--dataset", "x", "--priors", ""],
+            ["grid", "--dataset", "x", "--lams", ""],
+            ["bench", "--sizes", ""],
+        ],
+    )
+    def test_empty_run_list_is_one_line_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "index" not in err
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(SystemExit):
             run(["bench", "--modes", "quantum"])

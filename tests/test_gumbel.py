@@ -65,6 +65,22 @@ class TestSampleEdges:
         with pytest.raises(ParameterError, match="temperature"):
             EdgeParams(n=2, temperature=0.0)
 
+    # NaN fails every `tau <= 0` test, so it once passed all four boundaries
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tau: EdgeParams(n=3, temperature=tau),
+            lambda tau: PermutationParams(n=3, mode=TOPK, temperature=tau),
+            lambda tau: sinkhorn_operator(np.zeros((3, 3)), tau=tau),
+            lambda tau: softsort(np.arange(3.0), tau=tau),
+        ],
+        ids=["edge-params", "permutation-params", "sinkhorn", "softsort"],
+    )
+    def test_temperature_must_be_finite_and_positive(self, build, tau):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            build(tau)
+
     def test_noise_matches_logistic_form(self):
         # soft = sigmoid((logits + g1 - g2) / tau) for the recorded draws
         params = EdgeParams(n=4, logits=np.linspace(-2, 2, 16).reshape(4, 4), temperature=0.7)
@@ -368,6 +384,16 @@ class TestSoftSort:
     def test_equal_entries_uniform(self):
         s = softsort(np.zeros(4), tau=1.0).value
         np.testing.assert_allclose(s, 0.25, atol=1e-12)
+
+    def test_gradient_reaches_the_callers_tensor(self, rng):
+        # a 1-d Tensor was once re-wrapped as a new leaf, leaving .grad None
+        v = rng.uniform(-2, 2, 5)
+        w = Tensor(rng.uniform(-1, 1, (5, 5)))
+        col = Tensor(v.reshape(-1, 1), requires_grad=True)
+        assert_grads_close(lambda: ad.tsum(ad.mul(softsort(col, tau=0.5), w)), [col])
+        flat = Tensor(v, requires_grad=True)
+        with Tape(), pytest.raises(ad.DimensionError, match="softsort"):
+            softsort(flat)
 
 
 class TestPermutationSamplers:

@@ -181,6 +181,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{key} holds non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_finite_or_nonpositive_temperature_rejected(self, tmp_path, tau):
+        with pytest.raises(ParameterError, match="temperature"):
+            DpDagModel.create(5, temperature=tau)
+        path = tmp_path / "ck.json"
+        save_checkpoint(make_model(4), path)
+        blob = json.loads(path.read_text())
+        blob["temperature"] = tau  # json writes NaN and Infinity, and reads them back
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParameterError, match="temperature"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["n", "perm_mode", "temperature", "sinkhorn_iters", "edge_logits", "perm_scores"])
+    def test_missing_key_is_named(self, tmp_path, key):
+        path = tmp_path / "ck.json"
+        save_checkpoint(make_model(4), path)
+        blob = json.loads(path.read_text())
+        del blob[key]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            load_checkpoint(path)
+
     def test_inconsistent_sizes_rejected(self):
         with pytest.raises(ParameterError, match="inconsistent"):
             DpDagModel(n=3, edge_params=EdgeParams(n=4), perm_params=PermutationParams(n=3))

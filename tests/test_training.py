@@ -60,6 +60,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="perm_mode"):
             tiny_cfg(perm_mode="other")
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["learning_rate", "temperature"])
+    def test_rejects_non_finite_or_nonpositive_rate_and_temperature(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            tiny_cfg(**{name: value})
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_rejects_batch_size_below_one(self, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
@@ -404,16 +410,7 @@ def reference_forward(state, x, mask):
 
 def node_blocks(mech, j):
     """Node j's slice of each stacked parameter, in parameters() order."""
-    h = mech.hidden
-    blk = slice(j * h, (j + 1) * h)
-    return [
-        (mech.w1, (slice(None), blk)),
-        (mech.b1, (slice(None), blk)),
-        (mech.w2, (blk, slice(None))),
-        (mech.b2, (slice(None), blk)),
-        (mech.w3, (blk, slice(None))),
-        (mech.b3, (slice(None), slice(j, j + 1))),
-    ]
+    return [(p, j) for p in (mech.w1, mech.b1, mech.w2, mech.b2, mech.w3)] + [(mech.b3, (slice(None), j))]
 
 
 class TestStackedMechanisms:
