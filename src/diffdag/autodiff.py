@@ -4,15 +4,16 @@ A :class:`Tape` records every operation applied to :class:`Tensor` objects
 while it is active; ``tape.backward(loss)`` then walks the record in reverse
 and accumulates ``d loss / d leaf`` into each leaf's ``.grad``. Each op is a
 plain function that computes its value in numpy and records one node with its
-own adjoint through :func:`_record`; a fused op defined elsewhere (the
-Sinkhorn operator in :mod:`diffdag.gumbel`) records itself the same way. The
-vocabulary holds only the ops the library calls, with no general
-broadcasting, and every adjoint is finite-difference checked on its own.
+own adjoint through :func:`_record`; the two fused ops defined elsewhere
+(the Sinkhorn operator and SoftSort in :mod:`diffdag.gumbel`) record
+themselves the same way. The vocabulary holds only the ops the library
+calls, with no general broadcasting, and every adjoint is
+finite-difference checked on its own.
 Operands are at most 3-d. Elementwise ops and sums take any rank;
 ``add``, ``sub`` and ``mul`` pair equal shapes, or a scalar with anything.
 ``matmul`` and ``add_row`` name the 3-d forms they accept, ``spread`` turns
 a matrix into a stack and ``slices_to_columns`` turns a stack of columns
-back into a matrix. ``softmax_rows`` and ``transpose`` take matrices only.
+back into a matrix. ``transpose`` takes matrices only.
 
 Only leaves get a ``.grad``: the ``requires_grad`` tensors, such as
 parameters, that no node of the tape produced. An op output's gradient lives
@@ -201,8 +202,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape("add", a, b)
 
     def bw(g, node):
-        av, bv = node.saved
-        return _reduce_like(g, av), _reduce_like(g, bv)
+        (ta, tb), (av, bv) = node.inputs, node.saved
+        return (
+            _reduce_like(g, av) if ta.requires_grad else None,
+            _reduce_like(g, bv) if tb.requires_grad else None,
+        )
 
     return _record("add", (a, b), a.value + b.value, bw, (a.value, b.value))
 
@@ -228,8 +232,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape("sub", a, b)
 
     def bw(g, node):
-        av, bv = node.saved
-        return _reduce_like(g, av), _reduce_like(-g, bv) if node.inputs[1].requires_grad else None
+        (ta, tb), (av, bv) = node.inputs, node.saved
+        return (
+            _reduce_like(g, av) if ta.requires_grad else None,
+            _reduce_like(-g, bv) if tb.requires_grad else None,
+        )
 
     return _record("sub", (a, b), a.value - b.value, bw, (a.value, b.value))
 
@@ -275,21 +282,6 @@ def softplus(x: Tensor) -> Tensor:
     return _record("softplus", (x,), np.maximum(v, 0.0) + np.log1p(e), bw, (v, e))
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.value.ndim != 2:
-        raise DimensionError(f"softmax-rows: need a matrix, got shape {x.value.shape}")
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g, node):
-        sv = node.saved
-        return (sv * (g - (g * sv).sum(axis=1, keepdims=True)),)
-
-    return _record("softmax-rows", (x,), s, bw, s)
-
-
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     # max(x, alpha*x) is the leaky ReLU only for slopes in [0, 1)
     if not 0.0 <= alpha < 1.0:
@@ -307,15 +299,6 @@ def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     positive = x.value > 0
     slope = positive + ~positive * alpha
     return _record("leaky-relu", (x,), out, bw, slope)
-
-
-def absolute(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def bw(g, node):
-        return (g * np.sign(node.saved),)
-
-    return _record("abs", (x,), np.abs(x.value), bw, x.value)
 
 
 def tsum(x: Tensor) -> Tensor:

@@ -2,11 +2,14 @@
 
 Edges use the binary Gumbel-Softmax trick in its two-noise (logistic) form:
 ``soft = sigmoid((logits + G1 - G2) / tau)``. Permutations come in two
-flavours: a doubly-stochastic relaxation (log-space Sinkhorn iteration,
-projected to a hard permutation with an exact assignment solver) and a
-rank-based relaxation (SoftSort of perturbed scores, row-argmax for the hard
-permutation). All samplers run noise-free when ``noise is None``, which makes
-them pure functions of their parameters; that mode is what evaluation uses.
+flavours, which :func:`sample_permutation` picks by ``params.mode``: a
+doubly-stochastic relaxation (log-space Sinkhorn iteration, projected to a
+hard permutation with an exact assignment solver) and a rank-based
+relaxation (SoftSort of perturbed scores, their descending argsort for the
+hard permutation). Each relaxation runs in numpy and records one tape node
+with its own adjoint. All samplers run noise-free when ``noise is None``,
+which makes them pure functions of their parameters; that mode is what
+evaluation uses.
 
 Soft outputs are :class:`~diffdag.autodiff.Tensor` values so gradients flow
 when a tape is active; hard outputs are plain arrays / permutations detached
@@ -35,8 +38,6 @@ __all__ = [
     "sinkhorn_operator",
     "hungarian",
     "softsort",
-    "sample_permutation_sinkhorn",
-    "sample_permutation_topk",
     "sample_permutation",
 ]
 
@@ -309,6 +310,9 @@ def softsort(s, tau: float = 1.0) -> Tensor:
     reproduces the stable descending argsort on distinct inputs. ``s`` is a
     plain score vector or column, or an (n, 1) ``Tensor``; a Tensor is used
     as given, so gradients reach the caller's own tensor.
+
+    The value is computed in numpy; under a tape it records one
+    ``"softsort"`` node with its own adjoint.
     """
     _check_temperature(tau)
     if not isinstance(s, Tensor):
@@ -316,15 +320,25 @@ def softsort(s, tau: float = 1.0) -> Tensor:
         s = Tensor(s.reshape(-1, 1) if s.ndim == 1 else s)
     if s.value.ndim != 2 or s.value.shape[1] != 1:
         raise ad.DimensionError(f"softsort: scores must be an (n, 1) column, got shape {s.value.shape}")
-    n = s.value.shape[0]
     order = np.argsort(-s.value.ravel(), kind="stable")
-    p_sort = np.zeros((n, n))
-    p_sort[np.arange(n), order] = 1.0  # row i selects the i-th largest score
-    sorted_col = ad.matmul(Tensor(p_sort), s)
-    ones_row = Tensor(np.ones((1, n)))
-    ones_col = Tensor(np.ones((n, 1)))
-    diff = ad.sub(ad.matmul(sorted_col, ones_row), ad.matmul(ones_col, ad.transpose(s)))
-    return ad.softmax_rows(ad.mul(ad.absolute(diff), Tensor(-1.0 / tau)))
+    diff = s.value[order] - s.value.T  # row i: the i-th largest score minus every score
+    x = np.abs(diff) * (-1.0 / tau)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+
+    def bw(g, node):
+        diff, order = node.saved
+        p = node.output.value
+        g = p * (g - (g * p).sum(axis=1, keepdims=True))  # through the row softmax
+        g = g * (-1.0 / tau) * np.sign(diff)
+        n = g.shape[0]
+        # row and column sums as matmuls with ones, which sum in the same order
+        # as the op chain this node replaced; row i's sum belongs to s[order[i]]
+        ds = np.empty((n, 1))
+        ds[order] = np.matmul(g, np.ones((n, 1)))
+        return (np.matmul(np.ones((1, n)), -g).T + ds,)
+
+    return ad._record("softsort", (s,), p, bw, (diff, order))
 
 
 def _rank_permutation(scores: np.ndarray) -> PermutationMatrix:
@@ -335,39 +349,21 @@ def _rank_permutation(scores: np.ndarray) -> PermutationMatrix:
     return PermutationMatrix(ranks)
 
 
-def sample_permutation_sinkhorn(
-    params: PermutationParams, noise: GumbelSource | None = None
-) -> tuple[PermutationMatrix, Tensor]:
-    """Doubly-stochastic soft permutation plus its exact hard projection."""
-    if params.mode != SINKHORN:
-        raise ParameterError(f"params.mode is {params.mode!r}, expected {SINKHORN!r}")
-    scores = params.scores
-    if noise is not None:
-        scores = ad.add(scores, Tensor(noise.gumbel((params.n, params.n))))
-    soft = sinkhorn_operator(scores, iters=params.sinkhorn_iters, tau=params.temperature)
-    hard = hungarian(soft.value)
-    return hard, soft
-
-
-def sample_permutation_topk(
-    params: PermutationParams, noise: GumbelSource | None = None
-) -> tuple[PermutationMatrix, Tensor]:
-    """Rank-based soft permutation: SoftSort of the perturbed score vector."""
-    if params.mode != TOPK:
-        raise ParameterError(f"params.mode is {params.mode!r}, expected {TOPK!r}")
-    scores = params.scores
-    if noise is not None:
-        scores = ad.add(scores, Tensor(noise.gumbel((params.n, 1))))
-    soft = softsort(scores, tau=params.temperature)
-    # Stable descending argsort of the perturbed scores; coincides with the
-    # row-wise argmax of soft whenever the scores are distinct.
-    hard = _rank_permutation(scores.value)
-    return hard, soft
-
-
 def sample_permutation(
     params: PermutationParams, noise: GumbelSource | None = None
 ) -> tuple[PermutationMatrix, Tensor]:
+    """Soft permutation plus its hard counterpart, in ``params.mode``.
+
+    ``sinkhorn`` relaxes the perturbed score matrix to a doubly-stochastic one
+    and projects it with the exact assignment solver. ``topk`` takes the
+    SoftSort of the perturbed score vector; the hard permutation is the
+    stable descending argsort of those scores, which coincides with the
+    row-wise argmax of the soft one whenever the scores are distinct.
+    """
+    scores = params.scores
+    if noise is not None:
+        scores = ad.add(scores, Tensor(noise.gumbel(scores.value.shape)))
     if params.mode == SINKHORN:
-        return sample_permutation_sinkhorn(params, noise)
-    return sample_permutation_topk(params, noise)
+        soft = sinkhorn_operator(scores, iters=params.sinkhorn_iters, tau=params.temperature)
+        return hungarian(soft.value), soft
+    return _rank_permutation(scores.value), softsort(scores, tau=params.temperature)

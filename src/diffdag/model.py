@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import AdjacencyMatrix, PermutationMatrix, strict_upper_mask
+from .graphs import AdjacencyMatrix, strict_upper_mask
 from .gumbel import (
     SINKHORN,
     TOPK,
@@ -59,6 +59,12 @@ class DpDagModel:
                 f"inconsistent node counts: model n={self.n}, "
                 f"edges n={self.edge_params.n}, permutation n={self.perm_params.n}"
             )
+        # a checkpoint stores one temperature for both samplers
+        if self.edge_params.temperature != self.perm_params.temperature:
+            raise ParameterError(
+                f"inconsistent temperatures: edges {self.edge_params.temperature}, "
+                f"permutation {self.perm_params.temperature}"
+            )
 
     @classmethod
     def create(
@@ -88,7 +94,11 @@ class DagSample:
     hard: AdjacencyMatrix
     soft: Tensor  # E * (P^T M P); value equals the hard sample unless relaxed
     mask: Tensor  # P^T M P on its own, for objective terms over allowed pairs
-    permutation: PermutationMatrix
+
+
+def _order_mask(perm: np.ndarray) -> np.ndarray:
+    """mask[i][j] = 1 iff the ranking ``perm`` puts i strictly before j."""
+    return strict_upper_mask(perm.size)[np.ix_(perm, perm)]
 
 
 def sample_dag_parts(
@@ -107,17 +117,13 @@ def sample_dag_parts(
     n = model.n
     p_hard, p_soft = sample_permutation(model.perm_params, noise)
     e_hard, e_soft = sample_edges(model.edge_params, noise)
-    # mask[i][j] = 1 iff the sampled ranking puts i strictly before j
-    perm = p_hard.perm
-    hard_mask = strict_upper_mask(n)[np.ix_(perm, perm)]
+    hard_mask = _order_mask(p_hard.perm)
     hard_entries = e_hard * hard_mask
     hard = AdjacencyMatrix(np.rint(hard_entries).astype(np.int8), validate=False)
     if not relaxed and ad._active_tape() is None:
         # value-only sampling: the straight-through outputs equal the hard
         # draw, so skip the relaxed composition entirely
-        return DagSample(
-            hard=hard, soft=Tensor(hard_entries), mask=Tensor(hard_mask), permutation=p_hard
-        )
+        return DagSample(hard=hard, soft=Tensor(hard_entries), mask=Tensor(hard_mask))
     m_const = Tensor(strict_upper_mask(n))
     soft_mask = ad.matmul(ad.matmul(ad.transpose(p_soft), m_const), p_soft)
     soft_adj = ad.mul(e_soft, soft_mask)
@@ -126,7 +132,7 @@ def sample_dag_parts(
     else:
         adj = ad.straight_through(hard_entries, soft_adj)
         mask = ad.straight_through(hard_mask, soft_mask)
-    return DagSample(hard=hard, soft=adj, mask=mask, permutation=p_hard)
+    return DagSample(hard=hard, soft=adj, mask=mask)
 
 
 def sample_dag(
@@ -137,13 +143,6 @@ def sample_dag(
     return s.hard, s.soft
 
 
-def _allowed_mask(model: DpDagModel) -> tuple[np.ndarray, PermutationMatrix]:
-    """Binary matrix of pairs the noise-free permutation allows."""
-    p_hard, _ = sample_permutation(model.perm_params, noise=None)
-    perm = p_hard.perm
-    return strict_upper_mask(model.n)[np.ix_(perm, perm)], p_hard
-
-
 def edge_scores(model: DpDagModel) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-pair structure scores.
 
@@ -151,8 +150,8 @@ def edge_scores(model: DpDagModel) -> tuple[np.ndarray, np.ndarray]:
     where the noise-free permutation allows the direction and 0 elsewhere;
     the undirected score sums both directions of a pair.
     """
-    allowed, _ = _allowed_mask(model)
-    directed = model.edge_params.probabilities() * allowed
+    p_hard, _ = sample_permutation(model.perm_params, noise=None)
+    directed = model.edge_params.probabilities() * _order_mask(p_hard.perm)
     return directed, directed + directed.T
 
 
@@ -181,11 +180,19 @@ def save_checkpoint(model: DpDagModel, path, extras: dict | None = None) -> None
         json.dump(blob, fh)
 
 
+_SCALAR_FIELDS = (
+    ("n", int, "an integer"),
+    ("perm_mode", str, "a string"),
+    ("temperature", (int, float), "a number"),
+    ("sinkhorn_iters", int, "an integer"),
+)
+
+
 def load_checkpoint(path) -> tuple[DpDagModel, dict]:
-    """Inverse of :func:`save_checkpoint`. A missing key, or a sampler array
-    that is not numeric or holds a non-finite value, raises ValueError naming
-    the key; a temperature that is not finite and positive raises
-    ``ParameterError``."""
+    """Inverse of :func:`save_checkpoint`. A missing key, a scalar field of
+    the wrong JSON type, or a sampler array that is not numeric or holds a
+    non-finite value raises ValueError naming the key; a temperature that is
+    not finite and positive raises ``ParameterError``."""
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
@@ -195,6 +202,10 @@ def load_checkpoint(path) -> tuple[DpDagModel, dict]:
     for key in ("n", "perm_mode", "temperature", "sinkhorn_iters", "edge_logits", "perm_scores"):
         if key not in blob:
             raise ValueError(f"{path}: missing key {key!r}")
+    # bool is an int subclass, and json reads true/false as bools
+    for key, types, want in _SCALAR_FIELDS:
+        if not isinstance(blob[key], types) or isinstance(blob[key], bool):
+            raise ValueError(f"{path}: {key} must be {want}, got {blob[key]!r}")
     arrays = {}
     for key in ("edge_logits", "perm_scores"):
         try:
@@ -203,7 +214,7 @@ def load_checkpoint(path) -> tuple[DpDagModel, dict]:
             raise ValueError(f"{path}: {key} is not a numeric array") from None
         if not np.isfinite(arrays[key]).all():
             raise ValueError(f"{path}: {key} holds non-finite values")
-    n = int(blob["n"])
+    n = blob["n"]
     tau = float(blob["temperature"])
     model = DpDagModel(
         n=n,
@@ -213,7 +224,7 @@ def load_checkpoint(path) -> tuple[DpDagModel, dict]:
             mode=blob["perm_mode"],
             scores=arrays["perm_scores"],
             temperature=tau,
-            sinkhorn_iters=int(blob["sinkhorn_iters"]),
+            sinkhorn_iters=blob["sinkhorn_iters"],
         ),
     )
     return model, blob.get("extras", {})

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,8 +20,7 @@ from diffdag.gumbel import (
     PermutationParams,
     hungarian,
     sample_edges,
-    sample_permutation_sinkhorn,
-    sample_permutation_topk,
+    sample_permutation,
     sinkhorn_operator,
     softsort,
 )
@@ -318,7 +317,7 @@ class TestHungarian:
         params = PermutationParams(n=200, mode=SINKHORN, scores=rng.normal(size=(200, 200)))
         noise = GumbelSource(17)
         for _ in range(50):
-            hard, soft = sample_permutation_sinkhorn(params, noise)
+            hard, soft = sample_permutation(params, noise)
             np.testing.assert_array_equal(hard.perm, _reference_hungarian(soft.value).perm)
 
     def test_two_by_two(self):
@@ -395,24 +394,46 @@ class TestSoftSort:
         with Tape(), pytest.raises(ad.DimensionError, match="softsort"):
             softsort(flat)
 
+    # distinct scores, at least 1e-6 apart: a smaller gap over tau can round
+    # the runner-up's exp(-gap / tau) to 1 and tie the row's argmax
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scores=st.integers(1, 12).flatmap(
+            lambda n: arrays(np.float64, n, elements=st.floats(-1e6, 1e6), unique=True)
+        ),
+        tau=st.floats(0.01, 10.0),
+        taped=st.booleans(),
+    )
+    def test_hard_draw_is_row_argmax_and_rows_sum_to_one(self, scores, tau, taped):
+        assume(scores.size == 1 or np.diff(np.sort(scores)).min() >= 1e-6)
+        params = PermutationParams(n=scores.size, mode=TOPK, scores=scores, temperature=tau)
+        if taped:
+            with Tape() as tape:
+                hard, soft = sample_permutation(params, None)
+            assert [node.kind for node in tape.nodes] == ["softsort"]
+        else:
+            hard, soft = sample_permutation(params, None)
+        np.testing.assert_array_equal(soft.value.argmax(axis=1), hard.matrix().argmax(axis=1))
+        np.testing.assert_allclose(soft.value.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
 
 class TestPermutationSamplers:
     def test_sinkhorn_dominant_diagonal_identity(self):
         params = PermutationParams(n=5, mode=SINKHORN, scores=1e3 * np.eye(5))
-        hard, _ = sample_permutation_sinkhorn(params, noise=None)
+        hard, _ = sample_permutation(params, noise=None)
         assert hard == PermutationMatrix.identity(5)
 
     def test_sinkhorn_hard_always_bijection(self, rng):
         params = PermutationParams(n=8, mode=SINKHORN, scores=rng.normal(size=(8, 8)))
         noise = GumbelSource(3)
         for _ in range(20):
-            hard, soft = sample_permutation_sinkhorn(params, noise)
+            hard, soft = sample_permutation(params, noise)
             assert sorted(hard.perm.tolist()) == list(range(8))
             assert soft.value.shape == (8, 8)
 
     def test_topk_deterministic_ranks(self):
         params = PermutationParams(n=3, mode=TOPK, scores=np.array([3.0, 1.0, 2.0]))
-        hard, _ = sample_permutation_topk(params, noise=None)
+        hard, _ = sample_permutation(params, noise=None)
         # node 1 ranked first, node 3 second, node 2 third (one-based)
         np.testing.assert_array_equal(hard.perm, [0, 2, 1])
 
@@ -422,7 +443,7 @@ class TestPermutationSamplers:
         counts = {}
         draws = 20_000
         for _ in range(draws):
-            hard, _ = sample_permutation_topk(params, noise)
+            hard, _ = sample_permutation(params, noise)
             key = tuple(hard.perm.tolist())
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
@@ -431,24 +452,15 @@ class TestPermutationSamplers:
 
     def test_topk_duplicate_scores_stable(self):
         params = PermutationParams(n=4, mode=TOPK, scores=np.zeros(4))
-        hard, _ = sample_permutation_topk(params, noise=None)
+        hard, _ = sample_permutation(params, noise=None)
         np.testing.assert_array_equal(hard.perm, [0, 1, 2, 3])
-
-    def test_mode_mismatch(self):
-        params = PermutationParams(n=3, mode=TOPK)
-        with pytest.raises(ParameterError, match="mode"):
-            sample_permutation_sinkhorn(params)
 
     def test_composed_samples_are_acyclic(self, rng):
         for mode in (SINKHORN, TOPK):
             params = PermutationParams(n=12, mode=mode)
             noise = GumbelSource(9)
             for _ in range(25):
-                hard, _ = (
-                    sample_permutation_sinkhorn(params, noise)
-                    if mode == SINKHORN
-                    else sample_permutation_topk(params, noise)
-                )
+                hard, _ = sample_permutation(params, noise)
                 u = UpperTriangularEdges(np.triu((rng.random((12, 12)) < 0.4).astype(np.int8), 1))
                 assert is_acyclic(compose(hard, u).entries)
 
@@ -457,9 +469,8 @@ class TestPermutationSamplers:
             shape = (6, 6) if mode == SINKHORN else (6,)
             scores = np.random.default_rng(1).normal(size=shape)
             params = PermutationParams(n=6, mode=mode, scores=scores)
-            sampler = sample_permutation_sinkhorn if mode == SINKHORN else sample_permutation_topk
-            h1, s1 = sampler(params, None)
-            h2, s2 = sampler(params, None)
+            h1, s1 = sample_permutation(params, None)
+            h2, s2 = sample_permutation(params, None)
             assert h1 == h2
             np.testing.assert_array_equal(s1.value, s2.value)
 
@@ -482,7 +493,7 @@ class TestStraightThroughWiring:
         w = Tensor(rng.uniform(-1, 1, (5, 5)))
 
         def build():
-            _, soft = sample_permutation_topk(params, GumbelSource(22))
+            _, soft = sample_permutation(params, GumbelSource(22))
             return ad.tsum(ad.mul(soft, w))
 
         assert_grads_close(build, [params.scores], rtol=1e-3)
@@ -492,7 +503,7 @@ class TestStraightThroughWiring:
         w = Tensor(rng.uniform(-1, 1, (4, 4)))
 
         def build():
-            _, soft = sample_permutation_sinkhorn(params, GumbelSource(23))
+            _, soft = sample_permutation(params, GumbelSource(23))
             return ad.tsum(ad.mul(soft, w))
 
         assert_grads_close(build, [params.scores], rtol=1e-3)

@@ -206,3 +206,36 @@ class TestCheckpoint:
     def test_inconsistent_sizes_rejected(self):
         with pytest.raises(ParameterError, match="inconsistent"):
             DpDagModel(n=3, edge_params=EdgeParams(n=4), perm_params=PermutationParams(n=3))
+
+    def test_inconsistent_temperatures_rejected(self):
+        # a checkpoint stores one temperature, so a second one would be lost on reload
+        with pytest.raises(ParameterError, match="inconsistent temperatures"):
+            DpDagModel(
+                n=4,
+                edge_params=EdgeParams(n=4, temperature=1.0),
+                perm_params=PermutationParams(n=4, temperature=0.25),
+            )
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("n", "4.5"),
+            ("n", True),
+            ("n", 4.0),
+            ("perm_mode", None),
+            ("temperature", "1.0"),
+            ("temperature", True),
+            ("temperature", None),
+            ("sinkhorn_iters", None),
+            ("sinkhorn_iters", 2.5),
+            ("sinkhorn_iters", False),
+        ],
+    )
+    def test_scalar_field_of_wrong_type_is_named(self, tmp_path, key, bad):
+        path = tmp_path / "ck.json"
+        save_checkpoint(make_model(4), path)
+        blob = json.loads(path.read_text())
+        blob[key] = bad
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            load_checkpoint(path)
