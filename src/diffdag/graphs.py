@@ -52,12 +52,18 @@ def _as_binary_square(entries) -> np.ndarray:
 
 
 class AdjacencyMatrix:
-    """Binary n x n parent-indicator matrix of a DAG (row i = parents of i)."""
+    """Binary n x n parent-indicator matrix of a DAG (row i = parents of i).
+
+    ``validate=True`` checks input from outside: a square 0/1 matrix with a
+    zero diagonal and no cycle. ``validate=False`` means the caller built a
+    square 0/1 int8 DAG itself, so nothing is checked. Either way the object
+    holds its own read-only copy.
+    """
 
     __slots__ = ("n", "entries")
 
     def __init__(self, entries, validate: bool = True):
-        m = _as_binary_square(entries)
+        m = _as_binary_square(entries) if validate else np.array(entries, dtype=np.int8)
         if validate:
             if np.diagonal(m).any():
                 raise ValueError("adjacency diagonal must be zero (no self-loops)")

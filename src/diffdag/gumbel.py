@@ -152,6 +152,25 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Above this, sigmoid(v) rounds strictly above 1/2; see _edge_rule.
+_EDGE_BAND = 1e-15
+
+
+def _edge_rule(v: np.ndarray) -> np.ndarray:
+    """``sigmoid(v) > 0.5`` exactly, as a bool array, without the full sigmoid.
+
+    At or below 0 the sigmoid never exceeds 1/2, and above ``_EDGE_BAND`` it
+    always does. Inside ``0 < v <= _EDGE_BAND``, ``exp(-v)`` may round to 1
+    and the sigmoid to exactly 1/2, so those entries alone take the sigmoid.
+    """
+    on = v > _EDGE_BAND
+    band = v > 0
+    band ^= on
+    if band.any():
+        on[band] = _sigmoid_np(v[band]) > 0.5
+    return on
+
+
 def sample_edges(params: EdgeParams, noise: GumbelSource | None = None) -> tuple[np.ndarray, Tensor]:
     """Sample all n*n candidate edges at once.
 
@@ -164,9 +183,22 @@ def sample_edges(params: EdgeParams, noise: GumbelSource | None = None) -> tuple
     if noise is not None:
         g = noise.gumbel((n, n)) - noise.gumbel((n, n))
         z = ad.add(z, Tensor(g))
-    soft = ad.sigmoid(ad.mul(z, Tensor(1.0 / params.temperature)))
-    hard = (soft.value > 0.5).astype(np.float64)
-    return hard, soft
+    v = ad.mul(z, Tensor(1.0 / params.temperature))
+    return _edge_rule(v.value).astype(np.float64), ad.sigmoid(v)
+
+
+def _hard_edges(params: EdgeParams, noise: GumbelSource | None = None) -> np.ndarray:
+    """The hard draw of :func:`sample_edges` alone, as a bool array: the same
+    noise and arithmetic, no sigmoid and no tape node."""
+    n = params.n
+    if noise is None:
+        v = params.logits.value * (1.0 / params.temperature)
+    else:
+        v = noise.gumbel((n, n))
+        v -= noise.gumbel((n, n))
+        v += params.logits.value
+        v *= 1.0 / params.temperature
+    return _edge_rule(v)
 
 
 def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) -> Tensor:
@@ -306,10 +338,13 @@ def hungarian(profit) -> PermutationMatrix:
 def softsort(s, tau: float = 1.0) -> Tensor:
     """Row-stochastic relaxation of the descending argsort of ``s``.
 
-    Row i is a softmax over ``-|sorted_desc(s)[i] - s[j]| / tau``; its argmax
-    reproduces the stable descending argsort on distinct inputs. ``s`` is a
-    plain score vector or column, or an (n, 1) ``Tensor``; a Tensor is used
-    as given, so gradients reach the caller's own tensor.
+    Row i is a softmax over ``-|sorted_desc(s)[i] - s[j]| / tau``. Its argmax
+    reproduces the stable descending argsort only where neighbouring scores
+    differ by well over about ``1e-16 * tau``: a closer gap rounds away in
+    ``exp``, and the row ties (``s = [1, nextafter(1, 2)]`` at ``tau = 10``
+    gives every entry 0.5). ``s`` is a plain score vector or column, or an
+    (n, 1) ``Tensor``; a Tensor is used as given, so gradients reach the
+    caller's own tensor.
 
     The value is computed in numpy; under a tape it records one
     ``"softsort"`` node with its own adjoint.
@@ -357,8 +392,10 @@ def sample_permutation(
     ``sinkhorn`` relaxes the perturbed score matrix to a doubly-stochastic one
     and projects it with the exact assignment solver. ``topk`` takes the
     SoftSort of the perturbed score vector; the hard permutation is the
-    stable descending argsort of those scores, which coincides with the
-    row-wise argmax of the soft one whenever the scores are distinct.
+    stable descending argsort of those scores. It is the soft one's row-wise
+    argmax only when neighbouring scores differ by well over ``1e-16 * tau``
+    (see :func:`softsort`); closer scores tie in the soft matrix, while the
+    hard draw still breaks the tie by the stable argsort.
     """
     scores = params.scores
     if noise is not None:
@@ -367,3 +404,14 @@ def sample_permutation(
         soft = sinkhorn_operator(scores, iters=params.sinkhorn_iters, tau=params.temperature)
         return hungarian(soft.value), soft
     return _rank_permutation(scores.value), softsort(scores, tau=params.temperature)
+
+
+def _hard_permutation(params: PermutationParams, noise: GumbelSource | None = None) -> PermutationMatrix:
+    """The hard draw of :func:`sample_permutation` alone: the same noise and
+    arithmetic, no soft output and no tape node."""
+    scores = params.scores.value
+    if noise is not None:
+        scores = scores + noise.gumbel(scores.shape)
+    if params.mode == SINKHORN:
+        return hungarian(sinkhorn_operator(scores, iters=params.sinkhorn_iters, tau=params.temperature).value)
+    return _rank_permutation(scores)

@@ -7,6 +7,12 @@ triangular all-ones mask. The mask keeps exactly the pairs allowed by the
 sampled node ranking, so every sample is acyclic by construction, at any
 point during training. Sampling every pair and masking is distributionally
 identical to sampling only the allowed triangle and cheaper to vectorize.
+
+With no tape active and ``relaxed`` off, a draw computes only the hard
+sample: the ranking of the perturbed scores (or the assignment of their
+Sinkhorn relaxation), the exact edge rule ``sigmoid(v) > 0.5`` and the order
+mask, from the same noise in the same order as a taped draw, so both give
+the same hard sample.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .gumbel import (
     GumbelSource,
     ParameterError,
     PermutationParams,
+    _hard_edges,
+    _hard_permutation,
     sample_edges,
     sample_permutation,
 )
@@ -97,8 +105,8 @@ class DagSample:
 
 
 def _order_mask(perm: np.ndarray) -> np.ndarray:
-    """mask[i][j] = 1 iff the ranking ``perm`` puts i strictly before j."""
-    return strict_upper_mask(perm.size)[np.ix_(perm, perm)]
+    """mask[i][j] is True iff the ranking ``perm`` puts i strictly before j."""
+    return perm[:, None] < perm[None, :]
 
 
 def sample_dag_parts(
@@ -113,18 +121,22 @@ def sample_dag_parts(
     skips the substitution and keeps the smooth tensors end to end (used by
     gradient checks); the hard sample is still assembled from the discrete
     draws.
+
+    With no tape active and ``relaxed`` off, the straight-through outputs
+    equal the hard draw, so only the hard draw is computed; ``soft`` and
+    ``mask`` then hold the hard sample and the hard order mask.
     """
-    n = model.n
+    if not relaxed and ad._active_tape() is None:
+        hard_mask = _order_mask(_hard_permutation(model.perm_params, noise).perm)
+        hard_entries = _hard_edges(model.edge_params, noise) & hard_mask
+        hard = AdjacencyMatrix(hard_entries.astype(np.int8), validate=False)
+        return DagSample(hard=hard, soft=Tensor(hard_entries), mask=Tensor(hard_mask))
     p_hard, p_soft = sample_permutation(model.perm_params, noise)
     e_hard, e_soft = sample_edges(model.edge_params, noise)
     hard_mask = _order_mask(p_hard.perm)
     hard_entries = e_hard * hard_mask
-    hard = AdjacencyMatrix(np.rint(hard_entries).astype(np.int8), validate=False)
-    if not relaxed and ad._active_tape() is None:
-        # value-only sampling: the straight-through outputs equal the hard
-        # draw, so skip the relaxed composition entirely
-        return DagSample(hard=hard, soft=Tensor(hard_entries), mask=Tensor(hard_mask))
-    m_const = Tensor(strict_upper_mask(n))
+    hard = AdjacencyMatrix(hard_entries.astype(np.int8), validate=False)
+    m_const = Tensor(strict_upper_mask(model.n))
     soft_mask = ad.matmul(ad.matmul(ad.transpose(p_soft), m_const), p_soft)
     soft_adj = ad.mul(e_soft, soft_mask)
     if relaxed:
@@ -150,8 +162,8 @@ def edge_scores(model: DpDagModel) -> tuple[np.ndarray, np.ndarray]:
     where the noise-free permutation allows the direction and 0 elsewhere;
     the undirected score sums both directions of a pair.
     """
-    p_hard, _ = sample_permutation(model.perm_params, noise=None)
-    directed = model.edge_params.probabilities() * _order_mask(p_hard.perm)
+    perm = _hard_permutation(model.perm_params).perm
+    directed = model.edge_params.probabilities() * _order_mask(perm)
     return directed, directed + directed.T
 
 

@@ -104,6 +104,19 @@ class TestDecompose:
             pi, u = decompose(a)
             assert compose(pi, u) == a
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9))
+    def test_compose_of_decompose_is_the_identity(self, data, n):
+        upper = np.triu(data.draw(arrays(np.int8, (n, n), elements=st.integers(0, 1))), 1)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        a = AdjacencyMatrix(upper[np.ix_(perm, perm)])
+        pi, u = decompose(a)
+        back = compose(pi, u)
+        assert back == a
+        # compose trusts its own 0/1 int8 construction, and still owns a read-only copy
+        assert back.entries.dtype == np.int8 and not back.entries.flags.writeable
+        assert not np.shares_memory(back.entries, u.entries)
+
     def test_deterministic(self, rng):
         a = compose(PermutationMatrix(rng.permutation(9)), random_upper(9, rng))
         p1, u1 = decompose(a)

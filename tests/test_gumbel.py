@@ -18,6 +18,7 @@ from diffdag.gumbel import (
     GumbelSource,
     ParameterError,
     PermutationParams,
+    _edge_rule,
     hungarian,
     sample_edges,
     sample_permutation,
@@ -88,6 +89,29 @@ class TestSampleEdges:
         src = GumbelSource(5)
         expect = 1 / (1 + np.exp(-((params.logits.value + src.gumbel((4, 4)) - src.gumbel((4, 4))) / 0.7)))
         np.testing.assert_allclose(soft.value, expect, atol=1e-12)
+
+
+# the smallest v whose ad.sigmoid(v) exceeds 1/2; between 0 and here it is exactly 1/2
+_SIGMOID_CROSSING = 1.5612511283791264e-16
+
+
+class TestEdgeRule:
+    def test_matches_sigmoid_on_the_band_and_beyond(self):
+        c, x = _SIGMOID_CROSSING, 1.56e-16
+        special = [np.nextafter(0.0, 1.0), x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
+        special += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), 1e-15, np.nextafter(1e-15, 1.0)]
+        special += [0.0, -0.0, 1e300, -1e300, -np.nextafter(0.0, 1.0), 5e-324 * 2**40]
+        v = np.concatenate([special, np.geomspace(1e-17, 1e-15, 4000), -np.geomspace(1e-17, 1e-15, 50)])
+        np.testing.assert_array_equal(_edge_rule(v), ad.sigmoid(Tensor(v)).value > 0.5)
+        # a bare v > 0 would switch on below the crossing
+        assert not _edge_rule(np.array([np.nextafter(c, 0.0)]))[0] and _edge_rule(np.array([c]))[0]
+
+    def test_sample_edges_hard_is_the_rule_on_its_soft_value(self, rng):
+        band = [1e-16, 2e-16, 3e-16, 4e-16, _SIGMOID_CROSSING, 0.0, -0.0, 1e-300, -1e-16]
+        logits = np.concatenate([rng.normal(size=7), band]).reshape(4, 4)
+        for tau in (1.0, 0.5, 3.0):
+            hard, soft = sample_edges(EdgeParams(n=4, logits=logits, temperature=tau))
+            np.testing.assert_array_equal(hard, (soft.value > 0.5).astype(np.float64))
 
 
 class TestSinkhorn:
@@ -393,6 +417,15 @@ class TestSoftSort:
         flat = Tensor(v, requires_grad=True)
         with Tape(), pytest.raises(ad.DimensionError, match="softsort"):
             softsort(flat)
+
+    def test_close_scores_tie_in_the_soft_matrix_but_not_in_the_hard_draw(self):
+        # a gap of one ulp at 1.0 is 2.2e-16, far below 1e-16 * tau at tau = 10
+        scores = np.array([1.0, np.nextafter(1.0, 2.0)])
+        params = PermutationParams(n=2, mode=TOPK, scores=scores, temperature=10.0)
+        hard, soft = sample_permutation(params, None)
+        np.testing.assert_array_equal(soft.value, 0.5)
+        # the hard draw is still the stable descending argsort: node 1 first
+        np.testing.assert_array_equal(hard.perm, [1, 0])
 
     # distinct scores, at least 1e-6 apart: a smaller gap over tau can round
     # the runner-up's exp(-gap / tau) to 1 and tie the row's argmax

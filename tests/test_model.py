@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import enumerate_dags
 from diffdag import autodiff as ad
@@ -20,9 +23,11 @@ from diffdag.model import (
     edge_scores,
     load_checkpoint,
     sample_dag,
+    sample_dag_parts,
     save_checkpoint,
     threshold_dag,
 )
+from diffdag.training import MechanismNet
 
 
 def make_model(n, mode=TOPK, logits=None, scores=None, rng=None):
@@ -98,6 +103,50 @@ class TestSampleDag:
         assert ((soft.value > 0) & (soft.value < 1)).any()
 
 
+@st.composite
+def _models(draw):
+    """Any mode, n <= 12, tau in [0.05, 5], parameters up to +-1e6 or all equal."""
+    n = draw(st.integers(1, 12))
+    mode = draw(st.sampled_from([SINKHORN, TOPK]))
+    tau = draw(st.floats(0.05, 5.0))
+    score_shape = (n, n) if mode == SINKHORN else (n,)
+    big = st.floats(-1e6, 1e6)
+    if draw(st.booleans()):
+        logits = np.full((n, n), draw(big))
+        scores = np.full(score_shape, draw(big))
+    else:
+        logits = draw(arrays(np.float64, (n, n), elements=big))
+        scores = draw(arrays(np.float64, score_shape, elements=big))
+    return DpDagModel(
+        n=n,
+        edge_params=EdgeParams(n=n, logits=logits, temperature=tau),
+        perm_params=PermutationParams(n=n, mode=mode, scores=scores, temperature=tau),
+    )
+
+
+class TestValueOnlyDraw:
+    @settings(max_examples=120, deadline=None)
+    @given(model=_models(), seed=st.none() | st.integers(0, 2**32 - 1))
+    def test_acyclic_and_equal_to_the_taped_hard_sample(self, model, seed):
+        untaped_noise = None if seed is None else GumbelSource(seed)
+        taped_noise = None if seed is None else GumbelSource(seed)
+        untaped = sample_dag_parts(model, untaped_noise)
+        with Tape():
+            taped = sample_dag_parts(model, taped_noise)
+        assert is_acyclic(untaped.hard.entries) and is_acyclic(taped.hard.entries)
+        assert untaped.hard == taped.hard
+        # untaped, the straight-through outputs hold the hard values
+        np.testing.assert_array_equal(untaped.soft.value, untaped.hard.entries)
+        np.testing.assert_array_equal(untaped.mask.value, taped.mask.value)
+        if seed is not None:  # both draws consumed the same stretch of noise
+            np.testing.assert_array_equal(untaped_noise.gumbel(3), taped_noise.gumbel(3))
+
+    def test_owns_a_read_only_int8_sample(self, rng):
+        model = make_model(6, logits=rng.normal(size=(6, 6)), scores=rng.normal(size=6))
+        s = sample_dag_parts(model, GumbelSource(4))
+        assert s.hard.entries.dtype == np.int8 and not s.hard.entries.flags.writeable
+
+
 class TestEdgeScores:
     def test_two_node_uniform(self):
         model = make_model(2)
@@ -150,6 +199,12 @@ class TestThresholdDag:
             threshold_dag(make_model(3), 1.0)
 
 
+# every finite float, with -0.0, subnormals and +-1e308 drawn often
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+
+
 class TestCheckpoint:
     def test_round_trip_lossless(self, tmp_path, rng):
         model = make_model(
@@ -163,6 +218,28 @@ class TestCheckpoint:
         assert loaded.perm_params.mode == SINKHORN
         np.testing.assert_array_equal(loaded.edge_params.logits.value, model.edge_params.logits.value)
         np.testing.assert_array_equal(loaded.perm_params.scores.value, model.perm_params.scores.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), hidden=st.integers(1, 3), mode=st.sampled_from([SINKHORN, TOPK]))
+    def test_any_finite_arrays_round_trip_bit_exactly(self, tmp_path_factory, data, n, hidden, mode):
+        edge = data.draw(arrays(np.float64, (n, n), elements=_finite))
+        scores = data.draw(arrays(np.float64, (n, n) if mode == SINKHORN else (n,), elements=_finite))
+        tau = data.draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+        model = DpDagModel(
+            n=n,
+            edge_params=EdgeParams(n=n, logits=edge, temperature=tau),
+            perm_params=PermutationParams(n=n, mode=mode, scores=scores, temperature=tau),
+        )
+        mech = MechanismNet(n, hidden, np.random.default_rng(0))
+        for p in mech.parameters():
+            p.value = data.draw(arrays(np.float64, p.value.shape, elements=_finite))
+        path = tmp_path_factory.mktemp("ck") / "ck.json"
+        save_checkpoint(model, path, extras={"mechanisms": mech.state()})
+        loaded, extras = load_checkpoint(path)
+        back = MechanismNet.from_state(extras["mechanisms"])
+        assert loaded.edge_params.temperature == tau
+        for a, b in zip(model.parameters() + mech.parameters(), loaded.parameters() + back.parameters()):
+            assert a.value.tobytes() == b.value.tobytes()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"
