@@ -4,16 +4,16 @@ A :class:`Tape` records every operation applied to :class:`Tensor` objects
 while it is active; ``tape.backward(loss)`` then walks the record in reverse
 and accumulates ``d loss / d leaf`` into each leaf's ``.grad``. Each op is a
 plain function that computes its value in numpy and records one node with its
-own adjoint through :func:`_record`; the two fused ops defined elsewhere
-(the Sinkhorn operator and SoftSort in :mod:`diffdag.gumbel`) record
-themselves the same way. The vocabulary holds only the ops the library
-calls, with no general broadcasting, and every adjoint is
+own adjoint through :func:`_record`; the three fused ops defined elsewhere
+(the Sinkhorn operator and SoftSort in :mod:`diffdag.gumbel`, and the
+per-node mechanism MLPs of :meth:`diffdag.training.MechanismNet.forward_all`)
+record themselves the same way. The vocabulary holds only the ops the
+library calls, with no general broadcasting, and every adjoint is
 finite-difference checked on its own.
-Operands are at most 3-d. Elementwise ops and sums take any rank;
-``add``, ``sub`` and ``mul`` pair equal shapes, or a scalar with anything.
-``matmul`` and ``add_row`` name the 3-d forms they accept, ``spread`` turns
-a matrix into a stack and ``slices_to_columns`` turns a stack of columns
-back into a matrix. ``transpose`` takes matrices only.
+Operands are at most 3-d, because the stacked mechanism parameters are.
+Elementwise ops and sums take any rank; ``add``, ``sub`` and ``mul`` pair
+equal shapes, or a scalar with anything. ``matmul`` and ``transpose`` take
+matrices only.
 
 Only leaves get a ``.grad``: the ``requires_grad`` tensors, such as
 parameters, that no node of the tape produced. An op output's gradient lives
@@ -174,25 +174,18 @@ def _reduce_like(g, operand_value):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` in one of three forms: (m, k) @ (k, p) -> (m, p);
-    (m, k) @ (s, k, p) -> (s, m, p), one matrix times every slice of ``b``;
-    and (s, m, k) @ (s, k, p) -> (s, m, p), slice by slice."""
+    """``a @ b`` for matrices: (m, k) @ (k, p) -> (m, p)."""
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.value, b.value
-    forms = av.ndim == 2 and bv.ndim in (2, 3) or av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0]
-    if not forms or av.shape[-1] != bv.shape[-2]:
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: shapes {av.shape} and {bv.shape} incompatible")
 
     def bw(g, node):
         (ta, tb), (av, bv) = node.inputs, node.saved
-        ga = gb = None
-        if ta.requires_grad:
-            ga = np.matmul(g, bv.swapaxes(-1, -2))
-            if ga.ndim > av.ndim:  # a was shared by every slice
-                ga = ga.sum(axis=0)
-        if tb.requires_grad:
-            gb = np.matmul(av.swapaxes(-1, -2), g)
-        return ga, gb
+        return (
+            np.matmul(g, bv.T) if ta.requires_grad else None,
+            np.matmul(av.T, g) if tb.requires_grad else None,
+        )
 
     return _record("matmul", (a, b), np.matmul(av, bv), bw, (av, bv))
 
@@ -209,22 +202,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _record("add", (a, b), a.value + b.value, bw, (a.value, b.value))
-
-
-def add_row(x: Tensor, b: Tensor) -> Tensor:
-    """``x + b`` with a row added to every row: the (1, k) ``b`` to the
-    (m, k) ``x``, or slice by slice the (s, 1, k) ``b`` to the (s, m, k) ``x``."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    xs = x.value.shape
-    if x.value.ndim not in (2, 3) or b.value.shape != xs[:-2] + (1, xs[-1]):
-        raise DimensionError(f"add-row: shapes {xs} and {b.value.shape} incompatible")
-
-    def bw(g, node):
-        # ones.T @ g, not a sum over the rows: the same sum, in the same
-        # order, as the matmul(ones, b) this op replaced
-        return g, np.matmul(node.saved.T, g) if node.inputs[1].requires_grad else None
-
-    return _record("add-row", (x, b), x.value + b.value, bw, np.ones((xs[-2], 1)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -282,25 +259,6 @@ def softplus(x: Tensor) -> Tensor:
     return _record("softplus", (x,), np.maximum(v, 0.0) + np.log1p(e), bw, (v, e))
 
 
-def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
-    # max(x, alpha*x) is the leaky ReLU only for slopes in [0, 1)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"leaky-relu: alpha must lie in [0, 1), got {alpha}")
-    x = _as_tensor(x)
-
-    def bw(g, node):
-        return (g * node.saved,)
-
-    out = np.maximum(x.value, alpha * x.value)
-    if _active_tape() is None or not x.requires_grad:
-        return Tensor(out)
-    # every entry is exactly 1.0 or alpha, so g * slope is bitwise
-    # g * np.where(x > 0, 1.0, alpha)
-    positive = x.value > 0
-    slope = positive + ~positive * alpha
-    return _record("leaky-relu", (x,), out, bw, slope)
-
-
 def tsum(x: Tensor) -> Tensor:
     x = _as_tensor(x)
 
@@ -328,31 +286,6 @@ def transpose(x: Tensor) -> Tensor:
         return (g.T,)
 
     return _record("transpose", (x,), x.value.T.copy(), bw, None)
-
-
-def spread(x: Tensor, k: int) -> Tensor:
-    """(m, n) -> (m, n, k): every entry of the matrix ``x`` repeated along a
-    new last axis of length ``k``."""
-    x = _as_tensor(x)
-    if x.value.ndim != 2 or k < 1:
-        raise DimensionError(f"spread: need a matrix and k >= 1, got shape {x.value.shape} and k = {k}")
-
-    def bw(g, node):
-        return (g.sum(axis=-1),)
-
-    return _record("spread", (x,), np.repeat(x.value[:, :, None], k, axis=2), bw, None)
-
-
-def slices_to_columns(x: Tensor) -> Tensor:
-    """(s, m, 1) -> (m, s): slice j of ``x`` becomes column j."""
-    x = _as_tensor(x)
-    if x.value.ndim != 3 or x.value.shape[2] != 1:
-        raise DimensionError(f"slices-to-columns: need shape (s, m, 1), got {x.value.shape}")
-
-    def bw(g, node):
-        return (g.T[:, :, None],)
-
-    return _record("slices-to-columns", (x,), x.value[:, :, 0].T, bw, None)
 
 
 def straight_through(hard, soft: Tensor) -> Tensor:

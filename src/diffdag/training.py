@@ -85,6 +85,8 @@ class TrainConfig:
             raise ValueError(f"val_check_every must be >= 1, got {self.val_check_every}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.sinkhorn_iters < 1:
+            raise ValueError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
         if self.max_epochs < self.val_check_every:
             raise ValueError(f"max_epochs must be >= val_check_every, got {self.max_epochs} < {self.val_check_every}")
 
@@ -105,8 +107,9 @@ class MechanismNet:
     The n networks are stored node-major, with axis 0 the node: ``w1``
     (n, n, h), ``b1`` (n, 1, h), ``w2`` (n, h, h), ``b2`` (n, 1, h) and
     ``w3`` (n, h, 1), so ``w1[i]`` ... ``w3[i]`` are node i's own arrays;
-    ``b3`` is the (1, n) row of output biases. One forward pass then records
-    the same few tape nodes for every n.
+    ``b3`` is the (1, n) row of output biases. One forward pass computes all
+    n networks in numpy and records one ``"mechanisms"`` tape node, whatever
+    n is.
     """
 
     def __init__(self, n: int, hidden: int, rng: np.random.Generator):
@@ -138,12 +141,49 @@ class MechanismNet:
 
     def forward_all(self, x: Tensor, mask: Tensor) -> Tensor:
         """Predict every column of the batch ``x`` (b x n) at once; column i
-        sees ``x`` through row i of ``mask`` (n x n) only."""
+        sees ``x`` through row i of ``mask`` (n x n) only.
+
+        Gradients reach the six parameters and ``mask``, never ``x``: an
+        ``x`` that requires a gradient, like a misshapen ``x`` or ``mask``,
+        raises ``DimensionError``.
+        """
+        n = self.n
+        if x.value.ndim != 2 or x.value.shape[1] != n:
+            raise ad.DimensionError(f"forward_all: x must have shape (b, {n}), got {x.value.shape}")
+        if mask.value.shape != (n, n):
+            raise ad.DimensionError(f"forward_all: mask must have shape ({n}, {n}), got {mask.value.shape}")
+        if x.requires_grad:
+            raise ad.DimensionError("forward_all: x must not require a gradient; none reaches the batch")
+        xv, m = x.value, mask.value
         # (x * a_i) @ W1_i == x @ (diag(a_i) W1_i): mask the weights, not the batch
-        w1 = ad.mul(self.w1, ad.spread(mask, self.hidden))
-        h = ad.leaky_relu(ad.add_row(ad.matmul(x, w1), self.b1))  # (n, b, h)
-        h = ad.leaky_relu(ad.add_row(ad.matmul(h, self.w2), self.b2))
-        return ad.add_row(ad.slices_to_columns(ad.matmul(h, self.w3)), self.b3)
+        h1, slope1 = _bias_leaky_relu(np.matmul(xv, self.w1.value * m[:, :, None]), self.b1.value)  # (n, b, h)
+        h2, slope2 = _bias_leaky_relu(np.matmul(h1, self.w2.value), self.b2.value)
+        out = np.matmul(h2, self.w3.value)[:, :, 0].T + self.b3.value
+
+        def bw(g, node):
+            # bias sums as ones.T @ g, not .sum(axis): the summation order of
+            # the separate matmul/add-row adjoints this node replaced, so seeded
+            # fits stay bit-identical; in place only on arrays made here
+            w1, _, w2, _, w3, _, mask = node.inputs
+            xv, m, h1, slope1, h2, slope2 = node.saved
+            ones_t = np.ones((xv.shape[0], 1)).T
+            gb3 = np.matmul(ones_t, g)
+            g = g.T[:, :, None]  # (n, b, 1)
+            gw3 = np.matmul(h2.swapaxes(-1, -2), g)
+            g = np.matmul(g, w3.value.swapaxes(-1, -2))
+            g *= slope2
+            gb2 = np.matmul(ones_t, g)
+            gw2 = np.matmul(h1.swapaxes(-1, -2), g)
+            g = np.matmul(g, w2.value.swapaxes(-1, -2))
+            g *= slope1
+            gb1 = np.matmul(ones_t, g)
+            gw1 = np.matmul(xv.T, g)  # d loss / d (w1 * mask)
+            gmask = (gw1 * w1.value).sum(axis=-1) if mask.requires_grad else None
+            gw1 *= m[:, :, None]
+            return gw1, gb1, gw2, gb2, gw3, gb3, gmask
+
+        inputs = (*self.parameters(), mask)
+        return ad._record("mechanisms", inputs, out, bw, (xv, m, h1, slope1, h2, slope2))
 
     def state(self) -> dict:
         """Version-1 checkpoint layout: one ``{w1, b1, w2, b2, w3, b3}`` dict per node."""
@@ -196,6 +236,16 @@ class MechanismNet:
         net = cls.__new__(cls)
         net._stack(int(n), int(hidden), arrays)
         return net
+
+
+def _bias_leaky_relu(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leaky ReLU (slope 0.01) of ``h + b``, written into the fresh ``h``, and
+    its slope. Every slope is exactly 1.0 or 0.01, so ``h * slope`` is bitwise
+    ``max(h, 0.01 * h)``, signed zeros and infinities included."""
+    h += b
+    slope = np.maximum(h > 0, 0.01, dtype=np.float64)
+    h *= slope
+    return h, slope
 
 
 def _he_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -40,15 +40,14 @@ def _reference_backward(tape: Tape, loss: Tensor) -> None:
 # constants. The ops that hand their incoming gradient on unchanged (add,
 # sub's first operand, straight-through, transpose's view) are the ones whose
 # borrowed buffers the engine must never write to.
-_GRAPH_OPS = ("add", "sub", "mul", "matmul", "transpose", "straight-through", "leaky-relu", "sigmoid", "add-row")
+_GRAPH_OPS = ("add", "sub", "mul", "matmul", "transpose", "straight-through", "sigmoid")
 
 
-def _build_graph(values, requires, scalars, row, ops):
+def _build_graph(values, requires, scalars, ops):
     mats = [Tensor(v.copy(), requires_grad=r) for v, r in zip(values, requires)]
     leaves = [t for t in mats if t.requires_grad]
     svals = [Tensor(scalars[0], requires_grad=True), Tensor(scalars[1])]
-    brow = Tensor(row.copy(), requires_grad=True)
-    leaves += [svals[0], brow]
+    leaves.append(svals[0])
     outputs = []
     for op, i, j, flip in ops:
         a, b = mats[i % len(mats)], mats[j % len(mats)]
@@ -63,12 +62,8 @@ def _build_graph(values, requires, scalars, row, ops):
             out = ad.transpose(a)
         elif op == "straight-through":
             out = straight_through(np.rint(a.value), a)
-        elif op == "leaky-relu":
-            out = ad.leaky_relu(a, 0.1)
-        elif op == "sigmoid":
-            out = ad.sigmoid(a)
         else:
-            out = ad.add_row(a, brow)
+            out = ad.sigmoid(a)
         mats.append(out)
         outputs.append(out)
     w = Tensor(np.linspace(-1.0, 1.0, 9).reshape(3, 3))
@@ -94,12 +89,11 @@ class TestBackwardEngine:
         rng = np.random.default_rng(seed)
         values = [rng.uniform(-1.5, 1.5, (3, 3)) for _ in requires]
         scalars = rng.uniform(-1.5, 1.5, 2)
-        row = rng.uniform(-1.5, 1.5, (1, 3))
         runs = []
         for backward in (Tape.backward, _reference_backward):
             grads = []
             with Tape() as tape:
-                loss, leaves, outputs = _build_graph(values, requires, scalars, row, ops)
+                loss, leaves, outputs = _build_graph(values, requires, scalars, ops)
             # a second call accumulates into the .grad the first one left
             for _ in range(2):
                 backward(tape, loss)
@@ -134,8 +128,6 @@ class TestBackwardEngine:
     def test_constant_operands_get_no_adjoint(self, rng):
         w = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
         c = Tensor(rng.uniform(-1, 1, (2, 4)))
-        w3 = Tensor(rng.uniform(-1, 1, (3, 4, 2)), requires_grad=True)
-        c3 = Tensor(rng.uniform(-1, 1, (3, 2, 4)))
         cases = [
             (lambda: ad.matmul(c, ad.transpose(w)), 0),
             (lambda: ad.matmul(ad.transpose(c), w), 0),
@@ -145,10 +137,6 @@ class TestBackwardEngine:
             (lambda: ad.add(w, c), 1),
             (lambda: ad.add(c, w), 0),
             (lambda: ad.add(w, Tensor(0.5)), 1),
-            (lambda: ad.matmul(c, w3), 0),
-            (lambda: ad.matmul(c3, w3), 0),
-            (lambda: ad.add_row(w, Tensor(np.ones((1, 4)))), 1),
-            (lambda: ad.add_row(w3, Tensor(np.ones((3, 1, 2)))), 1),
         ]
         for build, const in cases:
             with Tape() as tape:
@@ -177,70 +165,6 @@ class TestForwardValues:
         out = ad.softplus(Tensor(big)).value
         assert np.isfinite(out).all()
         np.testing.assert_array_equal(out[3:], big[3:])
-
-    def test_stacked_ops_work_slice_by_slice(self, rng):
-        s, m, k, p = 3, 4, 2, 5
-        a, a3 = rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (s, m, k))
-        b3, r3 = rng.uniform(-2, 2, (s, k, p)), rng.uniform(-2, 2, (s, 1, k))
-        shared = ad.matmul(Tensor(a), Tensor(b3)).value
-        paired = ad.matmul(Tensor(a3), Tensor(b3)).value
-        rows = ad.add_row(Tensor(a3), Tensor(r3)).value
-        for i in range(s):
-            np.testing.assert_array_equal(shared[i], a @ b3[i])
-            np.testing.assert_array_equal(paired[i], a3[i] @ b3[i])
-            np.testing.assert_array_equal(rows[i], a3[i] + r3[i])
-        x = rng.uniform(-2, 2, (m, k))
-        spread = ad.spread(Tensor(x), p).value
-        assert spread.shape == (m, k, p) and all(np.array_equal(spread[:, :, j], x) for j in range(p))
-        np.testing.assert_array_equal(ad.slices_to_columns(Tensor(b3[:, :, :1])).value, b3[:, :, 0].T)
-
-    def test_leaky_relu_matches_where_form(self, rng):
-        x = np.concatenate([rng.uniform(-3, 3, 200), [0.0, -0.0, 1e-300, -1e-300, np.nan]])
-        g = np.concatenate([rng.normal(size=200), [1.0, -1.0, -0.0, 0.0, 2.0]])
-        for alpha in (0.0, 0.01, 0.5, 0.999):
-            ref = np.where(x > 0, x, alpha * x)
-            ref_grad = g * np.where(x > 0, 1.0, alpha)
-            untaped = ad.leaky_relu(Tensor(x), alpha).value
-            leaf = Tensor(x, requires_grad=True)
-            with Tape() as tape:
-                out = ad.leaky_relu(leaf, alpha)
-                loss = ad.tsum(ad.mul(out, Tensor(g)))
-            tape.backward(loss)
-            for got, want in ((untaped, ref), (out.value, ref), (leaf.grad, ref_grad)):
-                assert np.array_equal(got, want, equal_nan=True)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-            # 0-d operands, taped and untaped
-            for x0, g0 in ((-2.0, 1.5), (3.0, -1.0), (-0.0, 2.0), (1e-300, -0.5), (np.nan, 1.0)):
-                ref = np.where(x0 > 0, x0, alpha * x0)
-                ref_grad = g0 * np.where(x0 > 0, 1.0, alpha)
-                untaped = ad.leaky_relu(Tensor(x0), alpha).value
-                leaf = Tensor(x0, requires_grad=True)
-                with Tape() as tape:
-                    out = ad.leaky_relu(leaf, alpha)
-                    loss = ad.mul(out, Tensor(g0))
-                tape.backward(loss)
-                for got, want in ((untaped, ref), (out.value, ref), (leaf.grad, ref_grad)):
-                    assert np.shape(got) == ()
-                    assert np.array_equal(got, want, equal_nan=True)
-                    assert np.signbit(got) == np.signbit(want)
-
-    def test_add_row_matches_matmul_form(self, rng):
-        # the bias adjoint is ones.T @ g, bit for bit the matmul(ones, b) route
-        x0, b0 = rng.normal(size=(128, 40)), rng.normal(size=(1, 40))
-        w = Tensor(rng.normal(size=(128, 40)))
-        results = []
-        for build in (
-            lambda x, b: ad.add_row(x, b),
-            lambda x, b: ad.add(x, ad.matmul(Tensor(np.ones((128, 1))), b)),
-        ):
-            x, b = Tensor(x0, requires_grad=True), Tensor(b0, requires_grad=True)
-            with Tape() as tape:
-                out = build(x, b)
-                loss = ad.tsum(ad.mul(ad.sigmoid(out), w))
-            tape.backward(loss)
-            results.append((out.value, x.grad, b.grad))
-        for got, want in zip(*results):
-            assert got.tobytes() == want.tobytes()
 
 
 class TestBackwardExamples:
@@ -320,41 +244,16 @@ class TestShapeErrors:
     @pytest.mark.parametrize(
         "a, b",
         [
-            ((2, 3, 4), (4, 5)),  # a stack times one matrix is not a named form
-            ((2, 3, 4), (3, 4, 5)),  # slice counts differ
-            ((2, 3, 4), (2, 3, 5)),  # inner sizes differ
-            ((3, 4), (2, 3, 5)),  # inner sizes differ, shared matrix
-            ((4,), (2, 4, 5)),
+            ((2, 3, 4), (4, 5)),
+            ((3, 4), (2, 4, 5)),
+            ((2, 3, 4), (2, 4, 5)),
+            ((4,), (4, 5)),
+            ((3, 4), (4,)),
         ],
     )
-    def test_matmul_rejects_unnamed_3d_forms(self, a, b):
+    def test_matmul_takes_matrices_only(self, a, b):
         with pytest.raises(DimensionError, match="matmul"):
             ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
-
-    def test_add_row_needs_matching_row(self):
-        for x, b in (
-            ((2, 3), (1, 2)),
-            ((2, 3), (2, 3)),
-            ((2, 3, 4), (1, 4)),  # a stack needs one row per slice
-            ((2, 3, 4), (3, 1, 4)),
-            ((2, 3, 4), (2, 3, 4)),
-            ((2, 3), (2, 1, 3)),
-        ):
-            with pytest.raises(DimensionError, match="add-row"):
-                ad.add_row(Tensor(np.ones(x)), Tensor(np.ones(b)))
-
-    def test_spread_and_slices_to_columns_check_their_shapes(self):
-        for x, k in (((3,), 2), ((2, 3, 1), 2), ((2, 3), 0)):
-            with pytest.raises(DimensionError, match="spread"):
-                ad.spread(Tensor(np.ones(x)), k)
-        for x in ((3, 4), (3, 4, 2)):
-            with pytest.raises(DimensionError, match="slices-to-columns"):
-                ad.slices_to_columns(Tensor(np.ones(x)))
-
-    def test_leaky_relu_rejects_slope_outside_unit_interval(self):
-        for alpha in (-0.1, 1.0, 2.0, float("nan")):
-            with pytest.raises(ValueError, match="alpha"):
-                ad.leaky_relu(Tensor(np.ones(3)), alpha)
 
     def test_rank_four_rejected(self):
         with pytest.raises(DimensionError):
@@ -382,12 +281,7 @@ class TestGradChecks:
     def test_unary_ops(self, rng):
         x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
         w = Tensor(rng.uniform(-2, 2, (3, 4)))
-        cases = [
-            ad.sigmoid,
-            ad.softplus,
-            ad.leaky_relu,
-        ]
-        for op in cases:
+        for op in (ad.sigmoid, ad.softplus):
             assert_grads_close(lambda: ad.tsum(ad.mul(op(x), w)), [x])
         assert_grads_close(lambda: ad.tsum(ad.mul(ad.transpose(x), ad.transpose(w))), [x])
         assert_grads_close(lambda: ad.squared_norm(x), [x])
@@ -399,27 +293,6 @@ class TestGradChecks:
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad[3:], 1.0)
         assert np.isfinite(x.grad).all() and (x.grad[:3] >= 0).all() and x.grad[2] < 1e-17
-
-    def test_structural_ops(self, rng):
-        a = Tensor(rng.uniform(-2, 2, (2, 6)), requires_grad=True)
-        b = Tensor(rng.uniform(-2, 2, (6, 2)), requires_grad=True)
-        w = Tensor(rng.uniform(-2, 2, (2, 6)))
-        r = Tensor(rng.uniform(-2, 2, (1, 6)), requires_grad=True)
-        assert_grads_close(lambda: ad.tsum(ad.mul(ad.add_row(a, r), w)), [a, r])
-        # the stacked forms: (m,k) @ (s,k,p), (s,m,k) @ (s,k,p), 3-d add-row,
-        # a matrix spread into a stack and a stack of columns read back
-        s3 = Tensor(rng.uniform(-2, 2, (3, 6, 2)), requires_grad=True)
-        a3 = Tensor(rng.uniform(-2, 2, (3, 2, 6)), requires_grad=True)
-        r3 = Tensor(rng.uniform(-2, 2, (3, 1, 6)), requires_grad=True)
-        w3 = Tensor(rng.uniform(-2, 2, (3, 2, 2)))
-        w36 = Tensor(rng.uniform(-2, 2, (3, 2, 6)))
-        assert_grads_close(lambda: ad.tsum(ad.mul(ad.matmul(a, s3), w3)), [a, s3])
-        assert_grads_close(lambda: ad.tsum(ad.mul(ad.matmul(a3, s3), w3)), [a3, s3])
-        assert_grads_close(lambda: ad.tsum(ad.mul(ad.add_row(a3, r3), w36)), [a3, r3])
-        w623 = Tensor(rng.uniform(-2, 2, (6, 2, 3)))
-        assert_grads_close(lambda: ad.tsum(ad.mul(ad.spread(b, 3), w623)), [b])
-        col = Tensor(rng.uniform(-2, 2, (6, 2, 1)), requires_grad=True)
-        assert_grads_close(lambda: ad.tsum(ad.mul(ad.slices_to_columns(col), w)), [col])
 
 
 class TestStraightThrough:
