@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, Tensor, straight_through
+from .autodiff import Tape, Tensor
 from .graphs import (
     AcyclicityError,
     AdjacencyMatrix,
@@ -33,7 +33,6 @@ __all__ = [
     "__version__",
     "Tape",
     "Tensor",
-    "straight_through",
     "AcyclicityError",
     "AdjacencyMatrix",
     "PermutationMatrix",

@@ -4,16 +4,17 @@ A :class:`Tape` records every operation applied to :class:`Tensor` objects
 while it is active; ``tape.backward(loss)`` then walks the record in reverse
 and accumulates ``d loss / d leaf`` into each leaf's ``.grad``. Each op is a
 plain function that computes its value in numpy and records one node with its
-own adjoint through :func:`_record`; the three fused ops defined elsewhere
-(the Sinkhorn operator and SoftSort in :mod:`diffdag.gumbel`, and the
-per-node mechanism MLPs of :meth:`diffdag.training.MechanismNet.forward_all`)
-record themselves the same way. The vocabulary holds only the ops the
-library calls, with no general broadcasting, and every adjoint is
-finite-difference checked on its own.
-Operands are at most 3-d, because the stacked mechanism parameters are.
-Elementwise ops and sums take any rank; ``add``, ``sub`` and ``mul`` pair
-equal shapes, or a scalar with anything. ``matmul`` and ``transpose`` take
-matrices only.
+own adjoint through :func:`_record`. This module defines the generic ops
+``add``, ``sub``, ``mul`` and ``squared_norm``; seven fused ops defined
+elsewhere record themselves the same way, one node per operation of the
+model: the Sinkhorn operator, SoftSort and the edge relaxation in
+:mod:`diffdag.gumbel`, the order mask ``P^T M P`` and the masked adjacency in
+:mod:`diffdag.model`, and the per-node mechanism MLPs and the KL term in
+:mod:`diffdag.training`. The vocabulary holds only the ops the library calls,
+with no general broadcasting, and every adjoint is finite-difference checked
+on its own. Operands are at most 3-d, because the stacked mechanism
+parameters are. ``add``, ``sub`` and ``mul`` pair equal shapes, or a scalar
+with anything.
 
 Only leaves get a ``.grad``: the ``requires_grad`` tensors, such as
 parameters, that no node of the tape produced. An op output's gradient lives
@@ -35,7 +36,6 @@ __all__ = [
     "DimensionError",
     "Tensor",
     "Tape",
-    "straight_through",
 ]
 
 
@@ -173,23 +173,6 @@ def _reduce_like(g, operand_value):
     return g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for matrices: (m, k) @ (k, p) -> (m, p)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"matmul: shapes {av.shape} and {bv.shape} incompatible")
-
-    def bw(g, node):
-        (ta, tb), (av, bv) = node.inputs, node.saved
-        return (
-            np.matmul(g, bv.T) if ta.requires_grad else None,
-            np.matmul(av.T, g) if tb.requires_grad else None,
-        )
-
-    return _record("matmul", (a, b), np.matmul(av, bv), bw, (av, bv))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _need_same_shape("add", a, b)
@@ -232,42 +215,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record("elementwise-mul", (a, b), a.value * b.value, bw, (a.value, b.value))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    v = x.value
-    # exp(-|v|) once keeps the computation overflow-free in both tails
-    e = np.exp(-np.abs(v))
-    s = np.where(v >= 0, 1.0, e) / (1.0 + e)
-
-    def bw(g, node):
-        sv = node.saved
-        return (g * sv * (1.0 - sv),)
-
-    return _record("sigmoid", (x,), s, bw, s)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)), finite for every finite x."""
-    x = _as_tensor(x)
-    v = x.value
-    e = np.exp(-np.abs(v))
-
-    def bw(g, node):
-        v, e = node.saved
-        return (g * np.where(v >= 0, 1.0, e) / (1.0 + e),)
-
-    return _record("softplus", (x,), np.maximum(v, 0.0) + np.log1p(e), bw, (v, e))
-
-
-def tsum(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def bw(g, node):
-        return (np.full(node.saved, float(g)),)
-
-    return _record("sum", (x,), np.sum(x.value), bw, x.value.shape)
-
-
 def squared_norm(x: Tensor) -> Tensor:
     x = _as_tensor(x)
 
@@ -275,27 +222,3 @@ def squared_norm(x: Tensor) -> Tensor:
         return (2.0 * float(g) * node.saved,)
 
     return _record("squared-norm", (x,), np.sum(x.value * x.value), bw, x.value)
-
-
-def transpose(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.value.ndim != 2:
-        raise DimensionError(f"transpose: need a matrix, got shape {x.value.shape}")
-
-    def bw(g, node):
-        return (g.T,)
-
-    return _record("transpose", (x,), x.value.T.copy(), bw, None)
-
-
-def straight_through(hard, soft: Tensor) -> Tensor:
-    """Forward the detached hard value, route gradients to ``soft`` unchanged."""
-    hv = hard.value if isinstance(hard, Tensor) else np.asarray(hard, dtype=np.float64)
-    if hv.shape != soft.value.shape:
-        raise DimensionError(f"straight-through: shapes {hv.shape} and {soft.value.shape} differ")
-
-    def bw(g, node):
-        return (g,)
-
-    return _record("straight-through", (soft,), hv, bw, None)
-

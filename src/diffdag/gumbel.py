@@ -144,12 +144,10 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Overflow-free sigmoid: ``1 / (1 + exp(-x))`` at x >= 0, ``e / (1 + e)``
+    with ``e = exp(x)`` below."""
+    e = np.exp(-np.abs(x))  # one exp for both tails, never overflowing
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # Above this, sigmoid(v) rounds strictly above 1/2; see _edge_rule.
@@ -171,34 +169,42 @@ def _edge_rule(v: np.ndarray) -> np.ndarray:
     return on
 
 
+def _scaled_logits(params: EdgeParams, noise: GumbelSource | None) -> np.ndarray:
+    """``(logits + G1 - G2) / tau``, or ``logits / tau`` without noise: the
+    argument of the edge sigmoid, in a fresh array."""
+    if noise is None:
+        return params.logits.value * (1.0 / params.temperature)
+    n = params.n
+    v = noise.gumbel((n, n))
+    v -= noise.gumbel((n, n))
+    v += params.logits.value
+    v *= 1.0 / params.temperature
+    return v
+
+
 def sample_edges(params: EdgeParams, noise: GumbelSource | None = None) -> tuple[np.ndarray, Tensor]:
     """Sample all n*n candidate edges at once.
 
     Returns ``(hard, soft)``: a detached binary matrix (1 where soft > 0.5)
     and the relaxed sigmoid tensor. Noise-free mode drops the Gumbel pair
-    difference and is deterministic.
+    difference and is deterministic. Under a tape the soft output records one
+    ``"edges"`` node on the logits.
     """
-    n = params.n
-    z = params.logits
-    if noise is not None:
-        g = noise.gumbel((n, n)) - noise.gumbel((n, n))
-        z = ad.add(z, Tensor(g))
-    v = ad.mul(z, Tensor(1.0 / params.temperature))
-    return _edge_rule(v.value).astype(np.float64), ad.sigmoid(v)
+    v = _scaled_logits(params, noise)
+    s = _sigmoid_np(v)
+    inv_tau = 1.0 / params.temperature
+
+    def bw(g, node):
+        s = node.output.value
+        return ((g * s * (1.0 - s)) * inv_tau,)
+
+    return _edge_rule(v).astype(np.float64), ad._record("edges", (params.logits,), s, bw)
 
 
 def _hard_edges(params: EdgeParams, noise: GumbelSource | None = None) -> np.ndarray:
     """The hard draw of :func:`sample_edges` alone, as a bool array: the same
     noise and arithmetic, no sigmoid and no tape node."""
-    n = params.n
-    if noise is None:
-        v = params.logits.value * (1.0 / params.temperature)
-    else:
-        v = noise.gumbel((n, n))
-        v -= noise.gumbel((n, n))
-        v += params.logits.value
-        v *= 1.0 / params.temperature
-    return _edge_rule(v)
+    return _edge_rule(_scaled_logits(params, noise))
 
 
 def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) -> Tensor:

@@ -1,12 +1,15 @@
 """Probabilistic DAG model: permutation sampler x edge sampler.
 
-A sample is assembled as ``A = E * (P^T M P)`` where ``E`` holds
-straight-through edge samples for every ordered pair, ``P`` is the
-straight-through permutation matrix and ``M`` is the strictly upper
-triangular all-ones mask. The mask keeps exactly the pairs allowed by the
-sampled node ranking, so every sample is acyclic by construction, at any
-point during training. Sampling every pair and masking is distributionally
-identical to sampling only the allowed triangle and cheaper to vectorize.
+A sample is assembled as ``A = E * (P^T M P)`` where ``E`` holds edge
+samples for every ordered pair, ``P`` is the permutation matrix and ``M`` is
+the strictly upper triangular all-ones mask. The mask keeps exactly the
+pairs allowed by the sampled node ranking, so every sample is acyclic by
+construction, at any point during training. Sampling every pair and masking
+is distributionally identical to sampling only the allowed triangle and
+cheaper to vectorize.
+
+Under a tape, a draw records the ``"order-mask"`` and ``"dag"`` nodes after
+the samplers' own; see :func:`sample_dag_parts`.
 
 With no tape active and ``relaxed`` off, a draw computes only the hard
 sample: the ranking of the perturbed scores (or the assignment of their
@@ -109,18 +112,55 @@ def _order_mask(perm: np.ndarray) -> np.ndarray:
     return perm[:, None] < perm[None, :]
 
 
+def _order_mask_node(p_soft: Tensor, hard_mask: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
+    """Record the ``"order-mask"`` node on the soft permutation ``P``.
+
+    Its value is ``hard_mask`` or, when that is None, ``P^T M P``; its
+    adjoint is that of ``P^T M P`` either way. Returns the node's output and
+    the value of ``P^T M P``.
+    """
+    p = p_soft.value
+    m = strict_upper_mask(p.shape[0])
+    # P^T made contiguous: a gemm on the transposed view can sum in another
+    # order, and did in seeded n = 50 fits
+    pt_m = np.matmul(p.T.copy(), m)
+    soft = np.matmul(pt_m, p)
+
+    def bw(g, node):
+        # d(P^T M P)/dP in the summation order of the transpose/matmul
+        # chain this node replaced, so seeded fits stay bit-identical
+        pt_m, p, m = node.saved
+        return (np.matmul(pt_m.T, g) + np.matmul(np.matmul(g, p.T), m.T).T,)
+
+    value = soft if hard_mask is None else hard_mask
+    return ad._record("order-mask", (p_soft,), value, bw, (pt_m, p, m)), soft
+
+
+def _dag_node(e_soft: Tensor, mask: Tensor, soft_mask: np.ndarray, hard_entries: np.ndarray | None) -> Tensor:
+    """Record the ``"dag"`` node: the adjacency ``E * mask``. Its value is
+    ``hard_entries`` or, when that is None, ``E * soft_mask``; its adjoint is
+    that of ``E * soft_mask`` either way."""
+
+    def bw(g, node):
+        (te, tm), (e, soft_mask) = node.inputs, node.saved
+        return (g * soft_mask if te.requires_grad else None, g * e if tm.requires_grad else None)
+
+    value = e_soft.value * soft_mask if hard_entries is None else hard_entries
+    return ad._record("dag", (e_soft, mask), value, bw, (e_soft.value, soft_mask))
+
+
 def sample_dag_parts(
     model: DpDagModel, noise: GumbelSource | None = None, relaxed: bool = False
 ) -> DagSample:
     """Sample permutation then edges, then combine.
 
-    The straight-through substitution happens once, at the assembled
-    adjacency: the forward value is the discrete sample while the backward
-    pass sees the fully relaxed product, so gradients reach the scores and
-    logits even through pairs the discrete draw masked out. ``relaxed=True``
-    skips the substitution and keeps the smooth tensors end to end (used by
-    gradient checks); the hard sample is still assembled from the discrete
-    draws.
+    The straight-through substitution happens in the last two nodes of the
+    draw: the ``"order-mask"`` node outputs the hard order mask and the
+    ``"dag"`` node the hard adjacency, while their adjoints are those of the
+    fully relaxed ``P^T M P`` and ``E * P^T M P``, so gradients reach the
+    scores and logits even through pairs the discrete draw masked out.
+    ``relaxed=True`` makes the two nodes output the smooth values instead
+    (used by gradient checks); the graph and the hard sample stay the same.
 
     With no tape active and ``relaxed`` off, the straight-through outputs
     equal the hard draw, so only the hard draw is computed; ``soft`` and
@@ -136,14 +176,8 @@ def sample_dag_parts(
     hard_mask = _order_mask(p_hard.perm)
     hard_entries = e_hard * hard_mask
     hard = AdjacencyMatrix(hard_entries.astype(np.int8), validate=False)
-    m_const = Tensor(strict_upper_mask(model.n))
-    soft_mask = ad.matmul(ad.matmul(ad.transpose(p_soft), m_const), p_soft)
-    soft_adj = ad.mul(e_soft, soft_mask)
-    if relaxed:
-        adj, mask = soft_adj, soft_mask
-    else:
-        adj = ad.straight_through(hard_entries, soft_adj)
-        mask = ad.straight_through(hard_mask, soft_mask)
+    mask, soft_mask = _order_mask_node(p_soft, None if relaxed else hard_mask)
+    adj = _dag_node(e_soft, mask, soft_mask, None if relaxed else hard_entries)
     return DagSample(hard=hard, soft=adj, mask=mask)
 
 

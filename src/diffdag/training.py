@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .graphs import AdjacencyMatrix
-from .gumbel import SINKHORN, TOPK, GumbelSource
+from .gumbel import SINKHORN, TOPK, GumbelSource, _sigmoid_np
 from .model import DpDagModel, edge_scores, sample_dag, sample_dag_parts, threshold_dag
 from .semdata import SemDataset
 
@@ -68,6 +68,12 @@ class TrainConfig:
     sinkhorn_iters: int = 20
 
     def __post_init__(self):
+        for name in ("hidden", "sinkhorn_iters", "batch_size", "max_epochs", "patience", "val_check_every", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, v in (("learning_rate", self.learning_rate), ("temperature", self.temperature)):
             if not (math.isfinite(v) and v > 0):  # NaN passes a bare v <= 0 check
                 raise ValueError(f"{name} must be finite and positive, got {v}")
@@ -298,15 +304,30 @@ def _kl_term(model: DpDagModel, mask: Tensor, prior_p: float) -> Tensor:
 
     Written in the logit l as sigmoid(l) (l - logit(prior)) - softplus(l) -
     log(1 - prior), which stays finite for every finite logit; the form in
-    probabilities is 0 * inf once sigmoid(l) rounds to 0 or 1.
+    probabilities is 0 * inf once sigmoid(l) rounds to 0 or 1. Under a tape
+    it records one ``"kl"`` node on the logits and the mask.
     """
     logits = model.edge_params.logits
-    logit_prior = Tensor(math.log(prior_p) - math.log1p(-prior_p))
-    kl = ad.sub(
-        ad.mul(ad.sigmoid(logits), ad.sub(logits, logit_prior)),
-        ad.add(ad.softplus(logits), Tensor(math.log1p(-prior_p))),
-    )
-    return ad.tsum(ad.mul(kl, mask))
+    lv = logits.value
+    s = _sigmoid_np(lv)
+    d = lv - (math.log(prior_p) - math.log1p(-prior_p))
+    e = np.exp(-np.abs(lv))
+    kl = s * d - (np.maximum(lv, 0.0) + np.log1p(e) + math.log1p(-prior_p))
+
+    def bw(g, node):
+        # the softplus, sub and sigmoid paths of the op chain this node
+        # replaced, summed in its order, so seeded fits stay bit-identical
+        (tl, tm), (lv, s, d, e, kl, m) = node.inputs, node.saved
+        g = np.full(kl.shape, float(g))
+        gm = g * kl if tm.requires_grad else None
+        g = g * m
+        gl = None
+        if tl.requires_grad:
+            gl = (-g) * np.where(lv >= 0, 1.0, e) / (1.0 + e) + g * s + g * d * s * (1.0 - s)
+        return gl, gm
+
+    m = mask.value
+    return ad._record("kl", (logits, mask), np.sum(kl * m), bw, (lv, s, d, e, kl, m))
 
 
 def elbo_loss(

@@ -3,7 +3,36 @@ import itertools
 import numpy as np
 import pytest
 
+from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
+
+
+# Test-local tape ops that the library no longer needs: a sum readout for
+# turning any tensor into a scalar loss, and matrix product and transpose for
+# reference chains. Each records one node as the library's own ops do.
+
+
+def tsum(x):
+    """Sum of every entry, as a scalar tensor; its adjoint spreads ``g``."""
+    return ad._record("sum", (x,), np.sum(x.value), lambda g, node: (np.full(node.saved, float(g)),), x.value.shape)
+
+
+def matmul(a, b):
+    """``a @ b`` for matrices."""
+
+    def bw(g, node):
+        (ta, tb), (av, bv) = node.inputs, node.saved
+        return (
+            np.matmul(g, bv.T) if ta.requires_grad else None,
+            np.matmul(av.T, g) if tb.requires_grad else None,
+        )
+
+    return ad._record("matmul", (a, b), np.matmul(a.value, b.value), bw, (a.value, b.value))
+
+
+def transpose(x):
+    """Matrix transpose; its adjoint returns a view of ``g``."""
+    return ad._record("transpose", (x,), x.value.T.copy(), lambda g, node: (g.T,))
 
 
 def analytic_grads(build_loss, params):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, auc_pr_oracle, auc_roc_oracle, enumerate_dags
+from conftest import assert_grads_close, auc_pr_oracle, auc_roc_oracle, enumerate_dags, tsum
 from diffdag import autodiff as ad
 from diffdag.autodiff import Tensor
 from diffdag.graphs import AdjacencyMatrix, PermutationMatrix, compose, decompose, is_acyclic
@@ -37,11 +37,12 @@ from diffdag.metrics import (
     perturbation_confidence,
     structure_aucs,
 )
-from diffdag.model import DpDagModel, sample_dag
+from diffdag.model import DpDagModel, _dag_node, _order_mask_node, sample_dag
 from diffdag.semdata import GenSpec, gen_graph, generate
 from diffdag.training import (
     MechanismNet,
     TrainConfig,
+    _kl_term,
     bernoulli_kl,
     elbo_loss,
     fit,
@@ -290,9 +291,7 @@ class TestCriterion6GradientChecks:
         rng = np.random.default_rng(11)
         x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
         y = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        m = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
         w34 = Tensor(rng.uniform(-2, 2, (3, 4)))
-        w32 = Tensor(rng.uniform(-2, 2, (3, 2)))
         s = Tensor(0.6, requires_grad=True)
         sq = Tensor(rng.uniform(-2, 2, (4, 4)), requires_grad=True)
         w44 = Tensor(rng.uniform(-2, 2, (4, 4)))
@@ -304,25 +303,30 @@ class TestCriterion6GradientChecks:
             p.value = rng.uniform(-1, 1, p.value.shape)
         batch = Tensor(rng.uniform(-2, 2, (3, 4)))
         soft_mask = Tensor(rng.uniform(0, 1, (4, 4)), requires_grad=True)
+        # the draw's nodes on their relaxed values: edges under fixed noise,
+        # P^T M P of a soft permutation, E * mask, and the KL term
+        model = DpDagModel.create(4, temperature=0.7)
+        model.edge_params.logits.value = rng.uniform(-2, 2, (4, 4))
+        logits = model.edge_params.logits
+        perm = Tensor(rng.uniform(0, 1, (4, 4)), requires_grad=True)
+        edges = Tensor(rng.uniform(0, 1, (4, 4)), requires_grad=True)
         cases = [
-            ("matmul", lambda: ad.tsum(ad.mul(ad.matmul(x, m), w32)), [x, m]),
-            ("add", lambda: ad.tsum(ad.mul(ad.add(x, y), y)), [x, y]),
-            ("sub", lambda: ad.tsum(ad.mul(ad.sub(x, y), x)), [x, y]),
+            ("add", lambda: tsum(ad.mul(ad.add(x, y), y)), [x, y]),
+            ("sub", lambda: tsum(ad.mul(ad.sub(x, y), x)), [x, y]),
             ("elementwise-mul", lambda: ad.squared_norm(ad.mul(x, y)), [x, y]),
-            ("scalar-mix", lambda: ad.tsum(ad.mul(ad.add(x, s), y)), [x, s]),
-            ("sigmoid", lambda: ad.tsum(ad.mul(ad.sigmoid(x), w34)), [x]),
-            ("softplus", lambda: ad.tsum(ad.mul(ad.softplus(x), w34)), [x]),
-            ("sum", lambda: ad.mul(ad.tsum(x), ad.tsum(y)), [x, y]),
+            ("scalar-mix", lambda: tsum(ad.mul(ad.add(x, s), y)), [x, s]),
             ("squared-norm", lambda: ad.squared_norm(x), [x]),
-            ("transpose", lambda: ad.tsum(ad.mul(ad.transpose(x), ad.transpose(w34))), [x]),
             (
                 "mechanisms",
-                lambda: ad.tsum(ad.mul(mech.forward_all(batch, soft_mask), w34)),
+                lambda: tsum(ad.mul(mech.forward_all(batch, soft_mask), w34)),
                 mech.parameters() + [soft_mask],
             ),
-            ("sinkhorn", lambda: ad.tsum(ad.mul(sinkhorn_operator(sq, iters=8, tol=0.0), w44)), [sq]),
-            ("softsort", lambda: ad.tsum(ad.mul(softsort(scores, tau=0.5), w44)), [scores]),
-            ("straight-through", lambda: ad.tsum(ad.mul(ad.straight_through(ad.sigmoid(x).value, ad.sigmoid(x)), w34)), [x]),
+            ("sinkhorn", lambda: tsum(ad.mul(sinkhorn_operator(sq, iters=8, tol=0.0), w44)), [sq]),
+            ("softsort", lambda: tsum(ad.mul(softsort(scores, tau=0.5), w44)), [scores]),
+            ("edges", lambda: tsum(ad.mul(sample_edges(model.edge_params, GumbelSource(3))[1], w44)), [logits]),
+            ("order-mask", lambda: tsum(ad.mul(_order_mask_node(perm, None)[0], w44)), [perm]),
+            ("dag", lambda: tsum(ad.mul(_dag_node(edges, soft_mask, soft_mask.value, None), w44)), [edges, soft_mask]),
+            ("kl", lambda: _kl_term(model, soft_mask, 0.05), [logits, soft_mask]),
         ]
         failures = []
         for name, build, params in cases:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, matmul, transpose, tsum
 from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
 from diffdag.graphs import PermutationMatrix, compose, is_acyclic, UpperTriangularEdges
@@ -19,6 +19,7 @@ from diffdag.gumbel import (
     ParameterError,
     PermutationParams,
     _edge_rule,
+    _sigmoid_np,
     hungarian,
     sample_edges,
     sample_permutation,
@@ -91,7 +92,7 @@ class TestSampleEdges:
         np.testing.assert_allclose(soft.value, expect, atol=1e-12)
 
 
-# the smallest v whose ad.sigmoid(v) exceeds 1/2; between 0 and here it is exactly 1/2
+# the smallest v whose sigmoid exceeds 1/2; between 0 and here it is exactly 1/2
 _SIGMOID_CROSSING = 1.5612511283791264e-16
 
 
@@ -102,9 +103,19 @@ class TestEdgeRule:
         special += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), 1e-15, np.nextafter(1e-15, 1.0)]
         special += [0.0, -0.0, 1e300, -1e300, -np.nextafter(0.0, 1.0), 5e-324 * 2**40]
         v = np.concatenate([special, np.geomspace(1e-17, 1e-15, 4000), -np.geomspace(1e-17, 1e-15, 50)])
-        np.testing.assert_array_equal(_edge_rule(v), ad.sigmoid(Tensor(v)).value > 0.5)
+        np.testing.assert_array_equal(_edge_rule(v), _sigmoid_np(v) > 0.5)
         # a bare v > 0 would switch on below the crossing
         assert not _edge_rule(np.array([np.nextafter(c, 0.0)]))[0] and _edge_rule(np.array([c]))[0]
+
+    def test_sigmoid_matches_the_two_branch_form(self, rng):
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 745.0, -745.0, 800.0, -800.0, np.nan]
+        v = np.concatenate([special, rng.normal(scale=40.0, size=2000), np.geomspace(1e-17, 1e-15, 50)])
+        ref = np.empty_like(v)
+        pos = v >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        e = np.exp(v[~pos])
+        ref[~pos] = e / (1.0 + e)
+        np.testing.assert_array_equal(_sigmoid_np(v), ref)
 
     def test_sample_edges_hard_is_the_rule_on_its_soft_value(self, rng):
         band = [1e-16, 2e-16, 3e-16, 4e-16, _SIGMOID_CROSSING, 0.0, -0.0, 1e-300, -1e-16]
@@ -134,7 +145,7 @@ class TestSinkhorn:
     def test_gradient_flows(self, rng):
         m = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 4)))
-        assert_grads_close(lambda: ad.tsum(ad.mul(sinkhorn_operator(m, iters=8, tol=0.0), w)), [m], rtol=1e-4)
+        assert_grads_close(lambda: tsum(ad.mul(sinkhorn_operator(m, iters=8, tol=0.0), w)), [m], rtol=1e-4)
 
 
 def _unrolled_sinkhorn(m, iters, tau, tol):
@@ -150,10 +161,10 @@ def _unrolled_sinkhorn(m, iters, tau, tol):
     ones_col = Tensor(np.ones((1, n_rows)))
     log_p = ad.mul(m, Tensor(1.0 / tau))
     for _ in range(iters):
-        log_p = ad.sub(log_p, ad.matmul(logsumexp_rows(log_p), ones_row))
-        cols = ad.transpose(log_p)
-        cols = ad.sub(cols, ad.matmul(logsumexp_rows(cols), ones_col))
-        log_p = ad.transpose(cols)
+        log_p = ad.sub(log_p, matmul(logsumexp_rows(log_p), ones_row))
+        cols = transpose(log_p)
+        cols = ad.sub(cols, matmul(logsumexp_rows(cols), ones_col))
+        log_p = transpose(cols)
         p = np.exp(log_p.value)
         dev = max(np.abs(p.sum(axis=1) - 1.0).max(), np.abs(p.sum(axis=0) - 1.0).max())
         if dev < tol:
@@ -165,7 +176,7 @@ def _unrolled_sinkhorn(m, iters, tau, tol):
 def _sinkhorn_grad(op, m_value, w, **kw):
     m = Tensor(m_value, requires_grad=True)
     with Tape() as tape:
-        loss = ad.tsum(ad.mul(op(m, **kw), Tensor(w)))
+        loss = tsum(ad.mul(op(m, **kw), Tensor(w)))
     tape.backward(loss)
     return m.grad
 
@@ -227,7 +238,7 @@ class TestSinkhornOp:
         m = Tensor(scores, requires_grad=True)
         with Tape() as tape:
             p = sinkhorn_operator(m, iters=20)
-            loss = ad.tsum(ad.mul(p, Tensor(w)))
+            loss = tsum(ad.mul(p, Tensor(w)))
         tape.backward(loss)
         assert np.isfinite(p.value).all() and np.isfinite(m.grad).all()
         assert np.abs(p.value.sum(axis=0) - 1.0).max() <= 1e-9
@@ -413,7 +424,7 @@ class TestSoftSort:
         v = rng.uniform(-2, 2, 5)
         w = Tensor(rng.uniform(-1, 1, (5, 5)))
         col = Tensor(v.reshape(-1, 1), requires_grad=True)
-        assert_grads_close(lambda: ad.tsum(ad.mul(softsort(col, tau=0.5), w)), [col])
+        assert_grads_close(lambda: tsum(ad.mul(softsort(col, tau=0.5), w)), [col])
         flat = Tensor(v, requires_grad=True)
         with Tape(), pytest.raises(ad.DimensionError, match="softsort"):
             softsort(flat)
@@ -517,7 +528,7 @@ class TestStraightThroughWiring:
 
         def build():
             _, soft = sample_edges(params, GumbelSource(21))
-            return ad.tsum(ad.mul(soft, w))
+            return tsum(ad.mul(soft, w))
 
         assert_grads_close(build, [params.logits], rtol=1e-3)
 
@@ -527,7 +538,7 @@ class TestStraightThroughWiring:
 
         def build():
             _, soft = sample_permutation(params, GumbelSource(22))
-            return ad.tsum(ad.mul(soft, w))
+            return tsum(ad.mul(soft, w))
 
         assert_grads_close(build, [params.scores], rtol=1e-3)
 
@@ -537,6 +548,6 @@ class TestStraightThroughWiring:
 
         def build():
             _, soft = sample_permutation(params, GumbelSource(23))
-            return ad.tsum(ad.mul(soft, w))
+            return tsum(ad.mul(soft, w))
 
         assert_grads_close(build, [params.scores], rtol=1e-3)

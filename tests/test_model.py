@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import enumerate_dags
+from conftest import analytic_grads, enumerate_dags, tsum
 from diffdag import autodiff as ad
-from diffdag.autodiff import Tape
+from diffdag.autodiff import Tape, Tensor
 from diffdag.graphs import is_acyclic
 from diffdag.gumbel import (
     SINKHORN,
@@ -89,12 +89,35 @@ class TestSampleDag:
             w = ad.Tensor(rng.normal(size=(5, 5)))
             with Tape() as tape:
                 _, soft = sample_dag(model, GumbelSource(1))
-                loss = ad.tsum(ad.mul(soft, w))
+                loss = tsum(ad.mul(soft, w))
             tape.backward(loss)
             assert model.edge_params.logits.grad is not None
             assert np.abs(model.edge_params.logits.grad).max() > 0
             assert model.perm_params.scores.grad is not None
             assert np.abs(model.perm_params.scores.grad).max() > 0
+
+    @pytest.mark.parametrize("mode", [SINKHORN, TOPK])
+    def test_straight_through_routes_the_relaxed_gradient(self, mode, rng):
+        # hard values forward; with a linear readout the gradient does not
+        # depend on the forward value, so it equals the relaxed draw's exactly
+        scores = rng.normal(size=(5, 5) if mode == SINKHORN else 5)
+        model = make_model(5, mode=mode, logits=rng.normal(size=(5, 5)), scores=scores)
+        w_adj, w_mask = Tensor(rng.normal(size=(5, 5))), Tensor(rng.normal(size=(5, 5)))
+        samples, grads = [], []
+        for relaxed in (False, True):
+
+            def build():
+                s = sample_dag_parts(model, GumbelSource(3), relaxed=relaxed)
+                samples.append(s)
+                return ad.add(tsum(ad.mul(s.soft, w_adj)), tsum(ad.mul(s.mask, w_mask)))
+
+            grads.append(analytic_grads(build, model.parameters()))
+        hard, smooth = samples
+        np.testing.assert_array_equal(hard.soft.value, hard.hard.entries)
+        assert set(np.unique(hard.mask.value)) <= {0.0, 1.0}
+        assert hard.hard == smooth.hard and ((smooth.soft.value > 0) & (smooth.soft.value < 1)).any()
+        for g_hard, g_smooth in zip(*grads):
+            np.testing.assert_array_equal(g_hard, g_smooth)
 
     def test_relaxed_mode_is_smooth(self):
         model = make_model(4)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import analytic_grads, numeric_grads
+from conftest import analytic_grads, numeric_grads, tsum
 from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
 from diffdag.graphs import AdjacencyMatrix, is_acyclic
@@ -78,6 +78,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="sinkhorn_iters"):
             tiny_cfg(sinkhorn_iters=iters)
 
+    @pytest.mark.parametrize("value", [2.5, np.float64(4.0), "3", None, True])
+    @pytest.mark.parametrize(
+        "name", ["hidden", "sinkhorn_iters", "batch_size", "max_epochs", "patience", "val_check_every", "seed"]
+    )
+    def test_rejects_non_integer_sizes_and_seed(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            tiny_cfg(**{name: value})
+
+    def test_rejects_negative_seed(self):
+        # caught here, not by numpy's unnamed error inside fit
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            tiny_cfg(seed=-1)
+        assert tiny_cfg(seed=np.uint32(7), hidden=np.int64(4)).seed == 7
+
     def test_rejects_max_epochs_below_val_check_every(self):
         # no validation check would run, so there would be no best epoch
         with pytest.raises(ValueError, match="max_epochs"):
@@ -130,6 +144,20 @@ class TestKlFromLogits:
             assert abs(value - 2 * (-math.log(q) - math.log1p(-q))) <= 1e-12
             assert np.isfinite(grad).all() and np.abs(grad).max() <= 1e-12
 
+    def test_finite_at_extreme_logits(self):
+        value, grad = _kl_and_grad(np.array([[-1e300, -1e3], [1e3, 1e300]]))
+        assert math.isfinite(value) and np.isfinite(grad).all()
+
+    def test_untaped_call_records_nothing_and_matches(self, rng):
+        model = DpDagModel.create(4)
+        model.edge_params.logits.value = rng.normal(size=(4, 4))
+        mask = Tensor(rng.random((4, 4)), requires_grad=True)
+        untaped = _kl_term(model, mask, 0.05)
+        with Tape() as tape:
+            taped = _kl_term(model, mask, 0.05)
+        assert not untaped.requires_grad and [node.kind for node in tape.nodes] == ["kl"]
+        assert untaped.value == taped.value
+
     def test_validation_loss_finite_with_saturated_logits(self):
         ds = tiny_dataset()
         cfg = tiny_cfg(lam=0.1)
@@ -153,6 +181,36 @@ class TestKlFromLogits:
         if np.array_equal(moderate, logits):
             oracle = float(bernoulli_kl(1 / (1 + np.exp(-logits)), prior).sum())
             assert abs(value - oracle) <= 1e-9 * logits.size
+
+
+class TestTapeNodes:
+    """One node per operation of the model: a training step records 12."""
+
+    @pytest.mark.parametrize("mode, relaxation", [(SINKHORN, "sinkhorn"), (TOPK, "softsort")])
+    def test_elbo_step(self, mode, relaxation):
+        ds = tiny_dataset()
+        cfg = tiny_cfg(perm_mode=mode)
+        model = DpDagModel.create(ds.n, perm_mode=mode)
+        mech = MechanismNet(ds.n, cfg.hidden, np.random.default_rng(0))
+        with Tape() as tape:
+            elbo_loss(ds.train_X()[:16], model, mech, cfg, GumbelSource(0))
+        draw = ["add", relaxation, "edges", "order-mask", "dag"]
+        reconstruction = ["mechanisms", "sub", "squared-norm", "elementwise-mul"]
+        assert [node.kind for node in tape.nodes] == draw + reconstruction + ["kl", "elementwise-mul", "add"]
+
+    @pytest.mark.parametrize("mode, relaxation", [(SINKHORN, "sinkhorn"), (TOPK, "softsort")])
+    def test_fit_direct_step(self, mode, relaxation, monkeypatch):
+        kinds = []
+        backward = Tape.backward
+
+        def recording(tape, loss):
+            kinds.append([node.kind for node in tape.nodes])
+            return backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", recording)
+        truth = AdjacencyMatrix(np.triu(np.ones((4, 4), dtype=np.int8), 1))
+        fit_direct(truth, DpDagModel.create(4, perm_mode=mode), steps=1)
+        assert kinds == [["add", relaxation, "edges", "order-mask", "dag", "sub", "squared-norm", "elementwise-mul"]]
 
 
 class TestElboLoss:
@@ -596,7 +654,7 @@ class TestStackedMechanisms:
             pick = np.zeros((16, n))
             pick[:, j] = rng.normal(size=16)
             grads = analytic_grads(
-                lambda: ad.tsum(ad.mul(mech.forward_all(x, mask), Tensor(pick))), mech.parameters() + [mask]
+                lambda: tsum(ad.mul(mech.forward_all(x, mask), Tensor(pick))), mech.parameters() + [mask]
             )
             for (p, idx), g in zip(node_blocks(mech, j), grads):
                 outside = g.copy()
