@@ -2,7 +2,11 @@
 
 Every run is fully determined by its flags plus explicit seeds (nothing is
 seeded from the clock), and every artifact directory gets a manifest
-recording the config hash, the seeds and the library version.
+recording the configuration that ran, its hash, the seed and the library
+version: the command's flags but the output root, with every ``TrainConfig``
+field filled in for ``train`` and for ``grid`` (which records its swept lists
+instead of ``perm_mode``, ``prior_p`` and ``lam``). Each training flag sets
+the ``TrainConfig`` field it is stored under and has no default of its own.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -36,8 +41,10 @@ def _out_root(explicit: str | None) -> str:
 
 
 def _write_manifest(directory: str, command: str, config: dict, **fields) -> None:
+    """Create ``directory`` and write its manifest; a config value JSON
+    cannot encode raises rather than being recorded as its ``str``."""
     os.makedirs(directory, exist_ok=True)
-    payload = json.dumps(config, sort_keys=True, default=str)
+    payload = json.dumps(config, sort_keys=True)
     manifest = {
         "command": command,
         "config": config,
@@ -47,7 +54,26 @@ def _write_manifest(directory: str, command: str, config: dict, **fields) -> Non
         **fields,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
+        json.dump(manifest, fh, indent=2)
+
+
+def _run_config(args) -> dict:
+    """Every parsed flag but the output root and argparse's ``command`` and ``func``."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+
+
+def _train_config(args) -> TrainConfig:
+    """The training flags given on the command line over ``TrainConfig``'s defaults."""
+    given = vars(args)
+    return TrainConfig(**{f.name: given[f.name] for f in dataclasses.fields(TrainConfig) if f.name in given})
+
+
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """One header from the first row's keys, then every row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _positive_float(text: str) -> float:
@@ -122,34 +148,17 @@ def cmd_generate(args) -> int:
         ds = generate(spec)
         directory = os.path.join(root, ds.name)
         save_dataset(ds, directory)
-        _write_manifest(directory, "generate", {**spec.__dict__, "seed": seed})
+        _write_manifest(directory, "generate", vars(spec))
         print(f"wrote {directory} ({ds.X.shape[0]}x{ds.X.shape[1]}, {ds.truth.edge_count()} edges)")
     return 0
 
 
-def _train_config_from_args(args, perm_mode=None, prior=None, lam=None) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        hidden=args.hidden,
-        perm_mode=perm_mode or args.perm_mode,
-        prior_p=prior if prior is not None else args.prior,
-        lam=lam if lam is not None else args.lam,
-        temperature=args.tau,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        val_check_every=args.val_check_every,
-        seed=args.seed,
-        sinkhorn_iters=args.sinkhorn_iters,
-    )
-
-
 def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset)
-    cfg = _train_config_from_args(args)
+    cfg = _train_config(args)
     fixed = dataset.truth if args.gt_dag else None
     out_dir = os.path.join(_out_root(args.out), f"train-{dataset.name}-seed{cfg.seed}")
-    config = {**cfg.to_dict(), "dataset": args.dataset}
+    config = cfg.to_dict() | _run_config(args)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the divergence check reports it
             result = fit(dataset, cfg, fixed_adjacency=fixed)
@@ -170,10 +179,7 @@ def cmd_train(args) -> int:
         "train_config": cfg.to_dict(),
     }
     save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.json"), extras=extras)
-    with open(os.path.join(out_dir, "history.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "val_loss", "wall_time"])
-        writer.writeheader()
-        writer.writerows(result.history)  # an epoch without a check has val_loss None, written ""
+    _write_csv(os.path.join(out_dir, "history.csv"), result.history)  # val_loss None is written ""
     print(
         f"trained {dataset.name}: best val loss {result.best_val_loss:.4f} "
         f"at epoch {result.best_epoch} in {result.wall_time_seconds:.1f}s -> {out_dir}"
@@ -202,23 +208,16 @@ def cmd_eval(args) -> int:
         sample_mean, _ = bench_sampling(model, repetitions=args.bench_reps)
         row["sample_seconds"] = sample_mean
     out_dir = _out_root(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    _write_manifest(out_dir, "eval", _run_config(args))
     base = os.path.join(out_dir, f"metrics-{dataset.name}")
     with open(base + ".json", "w") as fh:
         json.dump(row, fh, indent=2)
-    with open(base + ".csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
-    _write_manifest(out_dir, "eval", {"checkpoint": args.checkpoint, "dataset": args.dataset})
+    _write_csv(base + ".csv", [row])
     print(json.dumps(row, indent=2))
     return 0
 
 
 def cmd_bench(args) -> int:
-    out_dir = _out_root(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sampling-times.csv")
     rows = []
     for mode in args.modes:
         for n in args.sizes:
@@ -226,11 +225,10 @@ def cmd_bench(args) -> int:
             mean_s, sd_s = bench_sampling(model, repetitions=args.reps, seed=args.seed)
             rows.append({"n": n, "mode": mode, "mean_seconds": mean_s, "sd_seconds": sd_s})
             print(f"n={n:4d} mode={mode:9s} {mean_s * 1e3:8.2f} ms/sample (sd {sd_s * 1e3:.2f})")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["n", "mode", "mean_seconds", "sd_seconds"])
-        writer.writeheader()
-        writer.writerows(rows)
-    _write_manifest(out_dir, "bench", vars(args) | {"seed": args.seed})
+    out_dir = _out_root(args.out)
+    _write_manifest(out_dir, "bench", _run_config(args))
+    path = os.path.join(out_dir, "sampling-times.csv")
+    _write_csv(path, rows)
     print(f"wrote {path}")
     return 0
 
@@ -254,13 +252,9 @@ def cmd_direct(args) -> int:
     mean_pr = float(np.mean([r["dir_auc_pr"] for r in per_run]))
     mean_roc = float(np.mean([r["dir_auc_roc"] for r in per_run]))
     out_dir = _out_root(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    _write_manifest(out_dir, "direct", _run_config(args))
     path = os.path.join(out_dir, "direct-learning.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(per_run[0]))
-        writer.writeheader()
-        writer.writerows(per_run)
-    _write_manifest(out_dir, "direct", vars(args) | {"seed": args.seed})
+    _write_csv(path, per_run)
     print(f"{args.perm_mode}: mean AUC-PR {mean_pr:.3f}, mean AUC-ROC {mean_roc:.3f} over {len(per_run)} runs")
     print(f"wrote {path}")
     return 0
@@ -279,12 +273,13 @@ def _grid_worker(task):
 
 
 def cmd_grid(args) -> int:
-    tasks = []
-    for mode in args.modes:
-        for prior in args.priors:
-            for lam in args.lams:
-                cfg = _train_config_from_args(args, perm_mode=mode, prior=prior, lam=lam)
-                tasks.append((args.dataset, cfg.to_dict()))
+    base = _train_config(args)
+    tasks = [
+        (args.dataset, dataclasses.replace(base, perm_mode=mode, prior_p=prior, lam=lam).to_dict())
+        for mode in args.modes
+        for prior in args.priors
+        for lam in args.lams
+    ]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_grid_worker, tasks))
@@ -302,11 +297,11 @@ def cmd_grid(args) -> int:
         "best_val_loss": results[0][1],
     }
     out_dir = _out_root(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    fixed = {k: v for k, v in base.to_dict().items() if k not in ("perm_mode", "prior_p", "lam")}
+    _write_manifest(out_dir, "grid", fixed | _run_config(args))
     path = os.path.join(out_dir, "grid-report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
-    _write_manifest(out_dir, "grid", vars(args) | {"seed": args.seed})
     best = results[0][0]
     print(
         f"best config: mode={best['perm_mode']} prior={best['prior_p']} lam={best['lam']} "
@@ -340,19 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help=f"output root (default ${OUT_ENV} or ./runs)")
     p.set_defaults(func=cmd_generate)
 
-    def add_train_flags(q):
-        q.add_argument("--lr", type=_positive_float, default=1e-2)
-        q.add_argument("--hidden", type=int, default=16)
-        q.add_argument("--perm-mode", choices=[SINKHORN, TOPK], default=TOPK)
-        q.add_argument("--prior", type=_prior_value, default=0.05)
-        q.add_argument("--lam", type=_lam_value, default=0.05)
-        q.add_argument("--tau", type=_positive_float, default=1.0)
-        q.add_argument("--batch-size", type=int, default=128)
-        q.add_argument("--max-epochs", type=int, default=300)
-        q.add_argument("--patience", type=int, default=10)
-        q.add_argument("--val-check-every", type=int, default=2)
-        q.add_argument("--sinkhorn-iters", type=int, default=20)
-        q.add_argument("--seed", type=int, default=0)
+    def add_train_flags(q, swept=False):
+        # an omitted flag stays out of the namespace, so _train_config keeps the field's default
+        about = "each sets a TrainConfig field; one left out keeps the field's default"
+        g = q.add_argument_group("training", about, argument_default=argparse.SUPPRESS)
+        g.add_argument("--lr", dest="learning_rate", type=_positive_float)
+        g.add_argument("--hidden", type=int)
+        if not swept:
+            g.add_argument("--perm-mode", choices=[SINKHORN, TOPK])
+            g.add_argument("--prior", dest="prior_p", type=_prior_value)
+            g.add_argument("--lam", type=_lam_value)
+        g.add_argument("--tau", dest="temperature", type=_positive_float)
+        g.add_argument("--batch-size", type=int)
+        g.add_argument("--max-epochs", type=int)
+        g.add_argument("--patience", type=int)
+        g.add_argument("--val-check-every", type=int)
+        g.add_argument("--sinkhorn-iters", type=int)
+        g.add_argument("--seed", type=int)
         q.add_argument("--out", default=None)
 
     p = sub.add_parser("train", help="train the variational model on a dataset directory")
@@ -396,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--priors", type=_float_list, default=[0.01, 0.05, 0.1])
     p.add_argument("--lams", type=_float_list, default=[0.0, 0.01, 0.1])
     p.add_argument("--workers", type=int, default=1)
-    add_train_flags(p)
+    add_train_flags(p, swept=True)
     p.set_defaults(func=cmd_grid)
 
     return parser

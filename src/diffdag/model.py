@@ -189,6 +189,13 @@ def sample_dag(
     return s.hard, s.soft
 
 
+def _directed_scores(model: DpDagModel) -> tuple[np.ndarray, np.ndarray]:
+    """The directed scores of :func:`edge_scores` and the noise-free
+    permutation's order mask they were taken under."""
+    allowed = _order_mask(_hard_permutation(model.perm_params).perm)
+    return model.edge_params.probabilities() * allowed, allowed
+
+
 def edge_scores(model: DpDagModel) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-pair structure scores.
 
@@ -196,8 +203,7 @@ def edge_scores(model: DpDagModel) -> tuple[np.ndarray, np.ndarray]:
     where the noise-free permutation allows the direction and 0 elsewhere;
     the undirected score sums both directions of a pair.
     """
-    perm = _hard_permutation(model.perm_params).perm
-    directed = model.edge_params.probabilities() * _order_mask(perm)
+    directed, _ = _directed_scores(model)
     return directed, directed + directed.T
 
 

@@ -28,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .graphs import AdjacencyMatrix
 from .gumbel import SINKHORN, TOPK, GumbelSource, _sigmoid_np
-from .model import DpDagModel, edge_scores, sample_dag, sample_dag_parts, threshold_dag
+from .model import DpDagModel, _directed_scores, sample_dag, sample_dag_parts, threshold_dag
 from .semdata import SemDataset
 
 __all__ = [
@@ -258,29 +258,31 @@ def _he_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return math.sqrt(2.0 / fan_in) * rng.standard_normal((fan_in, fan_out))
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - _BETA1**self.t
+        b2c = 1.0 - _BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             # in place, in the operation order of m = b1 * m + (1 - b1) * g
             # and v = b2 * v + (1 - b2) * g * g
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            step = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * p.grad
+            v *= _BETA2
+            v += (1.0 - _BETA2) * p.grad * p.grad
+            step = self.lr * (m / b1c) / (np.sqrt(v / b2c) + _EPS)
             # rebound, not written in place: callers hold earlier value arrays
             p.value = p.value - step
 
@@ -304,8 +306,11 @@ def _kl_term(model: DpDagModel, mask: Tensor, prior_p: float) -> Tensor:
 
     Written in the logit l as sigmoid(l) (l - logit(prior)) - softplus(l) -
     log(1 - prior), which stays finite for every finite logit; the form in
-    probabilities is 0 * inf once sigmoid(l) rounds to 0 or 1. Under a tape
-    it records one ``"kl"`` node on the logits and the mask.
+    probabilities is 0 * inf once sigmoid(l) rounds to 0 or 1. Where
+    sigmoid(l) rounds to 1 (l above about 36.7) the entry is its limit
+    -log(prior): the two terms of the logit form are then near-equal and,
+    past l ~ 1e15, cancel to nothing. Under a tape it records one ``"kl"``
+    node on the logits and the mask.
     """
     logits = model.edge_params.logits
     lv = logits.value
@@ -313,6 +318,7 @@ def _kl_term(model: DpDagModel, mask: Tensor, prior_p: float) -> Tensor:
     d = lv - (math.log(prior_p) - math.log1p(-prior_p))
     e = np.exp(-np.abs(lv))
     kl = s * d - (np.maximum(lv, 0.0) + np.log1p(e) + math.log1p(-prior_p))
+    kl[s == 1.0] = -math.log(prior_p)
 
     def bw(g, node):
         # the softplus, sub and sigmoid paths of the op chain this node
@@ -357,12 +363,13 @@ def validation_loss(
     x_val: np.ndarray, model: DpDagModel, mechanisms: MechanismNet, cfg: TrainConfig
 ) -> float:
     """Objective on held-out rows with the deterministic permutation and soft
-    edge probabilities; pure numbers, no tape."""
-    directed, _ = edge_scores(model)
+    edge probabilities; pure numbers, no tape. The KL term covers every pair
+    that permutation allows, as training's covers the sampled order's, even
+    one whose edge probability underflows to 0."""
+    directed, allowed = _directed_scores(model)
     recon = _masked_reconstruction_error(x_val, mechanisms, directed)
     if cfg.lam > 0:
-        allowed = Tensor((directed > 0).astype(np.float64))
-        recon += cfg.lam * float(_kl_term(model, allowed, cfg.prior_p).value)
+        recon += cfg.lam * float(_kl_term(model, Tensor(allowed.astype(np.float64)), cfg.prior_p).value)
     return recon
 
 

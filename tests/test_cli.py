@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from diffdag.cli import main
+from diffdag.cli import _write_manifest, main
+from diffdag.training import TrainConfig
 
 
 def run(argv):
@@ -106,8 +107,15 @@ class TestValidation:
 
     def test_invalid_prior_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
-            run(["grid", "--dataset", "x", "--prior", "0.9"])
+            run(["train", "--dataset", "x", "--prior", "0.9"])
         assert exc.value.code == 2
+
+    def test_grid_has_no_perm_mode_flag(self, capsys):
+        # grid sweeps --modes; a --perm-mode it would override is not taken
+        with pytest.raises(SystemExit) as exc:
+            run(["grid", "--dataset", "x", "--perm-mode", "sinkhorn"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --perm-mode" in capsys.readouterr().err
 
     def test_missing_dataset_fails_cleanly(self, capsys):
         assert run(["train", "--dataset", "/nonexistent/path"]) == 1
@@ -213,3 +221,56 @@ class TestBenchDirectGrid:
         report = json.loads((tmp_path / "grid" / "grid-report.json").read_text())
         assert len(report["runs"]) == 2
         assert report["best_val_loss"] == min(r["val_loss"] for r in report["runs"])
+
+
+def manifest_config(path):
+    with open(os.path.join(path, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    return manifest["config"], manifest["config_hash"]
+
+
+class TestManifests:
+    """A manifest's config is the configuration that ran, and only that."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--sizes", "4", "--modes", "topk", "--reps", "2"],
+            ["direct", "--n", "4", "--m", "3", "--graphs", "1", "--lrs", "0.1", "--steps", "5"],
+            ["grid", "--modes", "topk", "--priors", "0.05", "--lams", "0.01",
+             "--max-epochs", "2", "--hidden", "4"],
+        ],
+    )
+    def test_identical_runs_record_equal_hashes(self, argv, small_run, tmp_path):
+        if argv[0] == "grid":
+            argv = argv + ["--dataset", small_run[1]]
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run(argv + ["--out", a]) == 0 and run(argv + ["--out", b]) == 0
+        (config, hash_a), (_, hash_b) = manifest_config(a), manifest_config(b)
+        assert hash_a == hash_b
+        assert not {"func", "command", "out"} & set(config)
+
+    def test_grid_records_swept_lists_not_overridden_scalars(self, small_run, tmp_path):
+        out = str(tmp_path / "grid")
+        assert run(["grid", "--dataset", small_run[1], "--modes", "topk", "--priors", "0.05",
+                    "--lams", "0.0,0.01", "--max-epochs", "2", "--hidden", "4", "--out", out]) == 0
+        config, _ = manifest_config(out)
+        assert not {"perm_mode", "prior_p", "lam"} & set(config)
+        assert (config["modes"], config["priors"], config["lams"]) == (["topk"], [0.05], [0.0, 0.01])
+        assert config["hidden"] == 4 and config["learning_rate"] == TrainConfig().learning_rate
+
+    def test_train_records_train_config_and_gt_dag(self, small_run, tmp_path):
+        dataset = small_run[1]
+        hashes = []
+        for extra in ([], ["--gt-dag"]):
+            out = str(tmp_path / f"train{len(extra)}")
+            assert run(["train", "--dataset", dataset, *extra, "--out", out]) == 0
+            config, config_hash = manifest_config(os.path.join(out, "train-er-6-6-seed0-seed0"))
+            # no training flag given: exactly TrainConfig's defaults
+            assert config == TrainConfig().to_dict() | {"dataset": dataset, "gt_dag": bool(extra)}
+            hashes.append(config_hash)
+        assert hashes[0] != hashes[1]
+
+    def test_unencodable_config_value_raises(self, tmp_path):
+        with pytest.raises(TypeError):
+            _write_manifest(str(tmp_path), "x", {"f": object()})

@@ -65,13 +65,21 @@ def _reference_draw(model, noise, relaxed):
 
 
 def _reference_kl(model, mask, prior_p):
-    """The 8-node KL term: sigmoid, sub, mul, softplus, add, sub, mul, sum."""
+    """The 8-node KL term: sigmoid, sub, mul, softplus, add, sub, mul, sum.
+
+    An entry whose sigmoid rounds to 1 is then set to its limit -log(prior_p),
+    as ``_kl_term`` sets it; multiplying the others by 1 and adding 0 keeps
+    their bits and their gradient.
+    """
     logits = model.edge_params.logits
     logit_prior = Tensor(math.log(prior_p) - math.log1p(-prior_p))
+    s = _sigmoid(logits)
     kl = ad.sub(
-        ad.mul(_sigmoid(logits), ad.sub(logits, logit_prior)),
+        ad.mul(s, ad.sub(logits, logit_prior)),
         ad.add(_softplus(logits), Tensor(math.log1p(-prior_p))),
     )
+    saturated = s.value == 1.0
+    kl = ad.add(ad.mul(kl, Tensor(np.where(saturated, 0.0, 1.0))), Tensor(np.where(saturated, -math.log(prior_p), 0.0)))
     return tsum(ad.mul(kl, mask))
 
 

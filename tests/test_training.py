@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import analytic_grads, numeric_grads, tsum
 from diffdag import autodiff as ad
+from diffdag import gumbel
 from diffdag.autodiff import Tape, Tensor
 from diffdag.graphs import AdjacencyMatrix, is_acyclic
 from diffdag.gumbel import SINKHORN, TOPK, GumbelSource
@@ -144,6 +145,14 @@ class TestKlFromLogits:
             assert abs(value - 2 * (-math.log(q) - math.log1p(-q))) <= 1e-12
             assert np.isfinite(grad).all() and np.abs(grad).max() <= 1e-12
 
+    @pytest.mark.parametrize("big", [40.0, 1e15, 1e17, 1e300])
+    def test_logit_whose_sigmoid_rounds_to_one_gives_the_limit(self, big):
+        # the logit form's two terms cancel there: 3.0 at 1e15, 0.0 at 1e17
+        q = 0.05
+        value, grad = _kl_and_grad(np.array([[big]]), q)
+        assert abs(value + math.log(q)) <= 1e-12 * -math.log(q)
+        assert np.isfinite(grad).all()
+
     def test_finite_at_extreme_logits(self):
         value, grad = _kl_and_grad(np.array([[-1e300, -1e3], [1e3, 1e300]]))
         assert math.isfinite(value) and np.isfinite(grad).all()
@@ -165,6 +174,29 @@ class TestKlFromLogits:
         model.edge_params.logits.value = np.where(np.eye(ds.n) > 0, -1e3, 1e3)
         mech = MechanismNet(ds.n, cfg.hidden, np.random.default_rng(0))
         assert np.isfinite(validation_loss(ds.val_X(), model, mech, cfg))
+
+    def test_validation_kl_keeps_a_pair_whose_probability_underflows(self):
+        # sigmoid(-800) is 0, but the order allows the pair, as training's KL does
+        n, q = 4, 0.05
+        model = DpDagModel.create(n)
+        model.perm_params.scores.value = np.arange(n, 0, -1.0).reshape(n, 1)  # order 0, 1, 2, 3
+        model.edge_params.logits.value[0, 1] = -800.0
+        mech = MechanismNet(n, 4, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(20, n))
+        recon = validation_loss(x, model, mech, tiny_cfg(lam=0.0))
+        kl = (validation_loss(x, model, mech, tiny_cfg(lam=0.1, prior_p=q)) - recon) / 0.1
+        assert kl == pytest.approx(5 * bernoulli_kl(0.5, q) + bernoulli_kl(0.0, q), rel=1e-9)
+
+    def test_validation_check_takes_one_noise_free_permutation(self, monkeypatch):
+        calls = []
+        for name in ("sinkhorn_operator", "hungarian"):
+            original = getattr(gumbel, name)
+            monkeypatch.setattr(gumbel, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        ds = tiny_dataset()
+        cfg = tiny_cfg(perm_mode=SINKHORN, lam=0.1)
+        model = DpDagModel.create(ds.n, perm_mode=SINKHORN)
+        validation_loss(ds.val_X(), model, MechanismNet(ds.n, cfg.hidden, np.random.default_rng(0)), cfg)
+        assert calls == ["sinkhorn_operator", "hungarian"]
 
     @settings(max_examples=150, deadline=None)
     @given(
