@@ -5,8 +5,14 @@ seeded from the clock), and every artifact directory gets a manifest
 recording the configuration that ran, its hash, the seed and the library
 version: the command's flags but the output root, with every ``TrainConfig``
 field filled in for ``train`` and for ``grid`` (which records its swept lists
-instead of ``perm_mode``, ``prior_p`` and ``lam``). Each training flag sets
-the ``TrainConfig`` field it is stored under and has no default of its own.
+instead of ``perm_mode``, ``prior_p`` and ``lam``), and every ``GenSpec``
+field for ``generate``.
+
+Each training flag sets the ``TrainConfig`` field it is stored under, and
+each of ``generate``'s dataset flags the ``GenSpec`` field, with no default
+of its own. The config object is the only place that checks such a value:
+one it rejects is a usage error (exit 2, one ``error:`` line), reported
+before any file is read or written. A failure while running exits 1.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -62,10 +67,18 @@ def _run_config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
 
 
-def _train_config(args) -> TrainConfig:
-    """The training flags given on the command line over ``TrainConfig``'s defaults."""
-    given = vars(args)
-    return TrainConfig(**{f.name: given[f.name] for f in dataclasses.fields(TrainConfig) if f.name in given})
+class _UsageError(Exception):
+    """A flag value that the config it sets rejects; ``main`` reports it as argparse would."""
+
+
+def _config(cls, args, **fixed):
+    """``cls`` built from the flags stored under its field names, plus ``fixed``,
+    over its defaults; a value ``cls`` rejects is a usage error."""
+    given = vars(args) | fixed
+    try:
+        return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
@@ -74,27 +87,6 @@ def _write_csv(path: str, rows: list[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
-    return v
-
-
-def _lam_value(text: str) -> float:
-    v = float(text)
-    if not (0.0 <= v <= 0.1):
-        raise argparse.ArgumentTypeError(f"lambda must lie in [0, 0.1], got {text}")
-    return v
-
-
-def _prior_value(text: str) -> float:
-    v = float(text)
-    if not (0.01 <= v <= 0.1):
-        raise argparse.ArgumentTypeError(f"prior must lie in [0.01, 0.1], got {text}")
-    return v
 
 
 def _positive_int(text: str) -> int:
@@ -135,16 +127,7 @@ def _mode_list(text: str) -> list[str]:
 def cmd_generate(args) -> int:
     root = _out_root(args.out)
     for k in range(args.seeds):
-        seed = args.first_seed + k
-        spec = GenSpec(
-            graph_kind=args.kind,
-            n=args.n,
-            m=args.m,
-            N=args.samples,
-            noise_std=args.noise_std,
-            root_std=args.root_std,
-            seed=seed,
-        )
+        spec = _config(GenSpec, args, seed=args.first_seed + k)
         ds = generate(spec)
         directory = os.path.join(root, ds.name)
         save_dataset(ds, directory)
@@ -154,8 +137,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _config(TrainConfig, args)
     dataset = load_dataset(args.dataset)
-    cfg = _train_config(args)
     fixed = dataset.truth if args.gt_dag else None
     out_dir = os.path.join(_out_root(args.out), f"train-{dataset.name}-seed{cfg.seed}")
     config = cfg.to_dict() | _run_config(args)
@@ -239,7 +222,7 @@ def cmd_direct(args) -> int:
     else:
         truths = []
         for k in range(args.graphs):
-            spec = GenSpec(graph_kind=args.kind, n=args.n, m=args.m, seed=args.first_seed + k)
+            spec = _config(GenSpec, args, graph_kind=args.kind, seed=args.first_seed + k)
             truths.append((gen_graph(spec), spec.name))
     per_run = []
     for truth, name in truths:
@@ -273,9 +256,8 @@ def _grid_worker(task):
 
 
 def cmd_grid(args) -> int:
-    base = _train_config(args)
     tasks = [
-        (args.dataset, dataclasses.replace(base, perm_mode=mode, prior_p=prior, lam=lam).to_dict())
+        (args.dataset, _config(TrainConfig, args, perm_mode=mode, prior_p=prior, lam=lam).to_dict())
         for mode in args.modes
         for prior in args.priors
         for lam in args.lams
@@ -297,7 +279,7 @@ def cmd_grid(args) -> int:
         "best_val_loss": results[0][1],
     }
     out_dir = _out_root(args.out)
-    fixed = {k: v for k, v in base.to_dict().items() if k not in ("perm_mode", "prior_p", "lam")}
+    fixed = {k: v for k, v in tasks[0][1].items() if k not in ("perm_mode", "prior_p", "lam")}
     _write_manifest(out_dir, "grid", fixed | _run_config(args))
     path = os.path.join(out_dir, "grid-report.json")
     with open(path, "w") as fh:
@@ -324,28 +306,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate synthetic SEM datasets")
-    p.add_argument("--kind", choices=["er", "sf"], required=True)
-    p.add_argument("--n", type=int, required=True, help="node count")
-    p.add_argument("--m", type=int, required=True, help="edge count")
-    p.add_argument("--samples", type=int, default=1000, help="observations per dataset")
-    p.add_argument("--noise-std", type=_positive_float, default=1.0)
-    p.add_argument("--root-std", type=_positive_float, default=1.0)
-    p.add_argument("--seeds", type=int, default=1, help="number of datasets (consecutive seeds)")
+    about = "each sets a GenSpec field; one left out keeps the field's default"
+    g = p.add_argument_group("dataset", about, argument_default=argparse.SUPPRESS)
+    g.add_argument("--kind", dest="graph_kind", choices=["er", "sf"], required=True)
+    g.add_argument("--n", type=int, required=True, help="node count")
+    g.add_argument("--m", type=int, required=True, help="edge count")
+    g.add_argument("--samples", dest="N", type=int, help="observations per dataset")
+    g.add_argument("--noise-std", type=float)
+    g.add_argument("--root-std", type=float)
+    p.add_argument("--seeds", type=_positive_int, default=1, help="number of datasets (consecutive seeds)")
     p.add_argument("--first-seed", type=int, default=0)
     p.add_argument("--out", default=None, help=f"output root (default ${OUT_ENV} or ./runs)")
     p.set_defaults(func=cmd_generate)
 
     def add_train_flags(q, swept=False):
-        # an omitted flag stays out of the namespace, so _train_config keeps the field's default
+        # an omitted flag stays out of the namespace, so _config keeps the field's default
         about = "each sets a TrainConfig field; one left out keeps the field's default"
         g = q.add_argument_group("training", about, argument_default=argparse.SUPPRESS)
-        g.add_argument("--lr", dest="learning_rate", type=_positive_float)
+        g.add_argument("--lr", dest="learning_rate", type=float)
         g.add_argument("--hidden", type=int)
         if not swept:
             g.add_argument("--perm-mode", choices=[SINKHORN, TOPK])
-            g.add_argument("--prior", dest="prior_p", type=_prior_value)
-            g.add_argument("--lam", type=_lam_value)
-        g.add_argument("--tau", dest="temperature", type=_positive_float)
+            g.add_argument("--prior", dest="prior_p", type=float)
+            g.add_argument("--lam", type=float)
+        g.add_argument("--tau", dest="temperature", type=float)
         g.add_argument("--batch-size", type=int)
         g.add_argument("--max-epochs", type=int)
         g.add_argument("--patience", type=int)
@@ -406,6 +390,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))  # exits 2
     except BrokenPipeError:
         return 1
     except Exception as exc:  # one-line diagnostic, nonzero exit

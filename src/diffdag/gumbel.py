@@ -212,10 +212,12 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
 
     Alternates row and column log-sum-exp normalization up to ``iters``
     times, exiting as soon as the worst row/column sum deviates from 1 by
-    less than ``tol`` (random score matrices typically exit within 20
-    rounds; the larger cap only matters for near-degenerate inputs whose
-    alternation converges slowly). Log-space arithmetic keeps the iteration
-    finite for arbitrarily large score magnitudes.
+    less than ``tol``. An early exit is the exception at training's default
+    cap of 20: over 30 draws of ``scale * N(0, 1) + Gumbel`` per cell
+    (scales 0.1, 1 and 5), 10-30 ran all 20 rounds at n = 10 and 24-30 at
+    n = 50 and n = 200, so training draws at n >= 50 almost always run the
+    full cap. Log-space arithmetic keeps the iteration finite for
+    arbitrarily large score magnitudes.
 
     The loop runs once, in numpy, whether or not a tape is active, so the
     output does not depend on taping. Under a tape it records one

@@ -14,6 +14,7 @@ On disk a dataset is a directory ``{name}/data.csv, truth.edges, meta.json``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -61,19 +62,25 @@ class GenSpec:
         self.graph_kind = self.graph_kind.lower()
         if self.graph_kind not in (ER, SF):
             raise ValueError(f"graph_kind must be {ER!r} or {SF!r}, got {self.graph_kind!r}")
+        for name in ("n", "m", "N", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("noise_std", "root_std"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):  # NaN passes a bare v <= 0 check
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.n < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.n}")
+            raise ValueError(f"n must be >= 2, got {self.n}")
         max_edges = self.n * (self.n - 1) // 2
         if self.graph_kind == ER and not (1 <= self.m <= max_edges):
             raise ValueError(f"er edge count must lie in 1..{max_edges}, got {self.m}")
         if self.graph_kind == SF and self.m < 1:
             raise ValueError(f"sf edge count must be >= 1, got {self.m}")
-        if self.noise_std <= 0:
-            raise ValueError(f"noise_std must be positive, got {self.noise_std}")
-        if self.root_std <= 0:
-            raise ValueError(f"root_std must be positive, got {self.root_std}")
         if self.N < 3:
-            raise ValueError(f"need at least 3 samples, got {self.N}")
+            raise ValueError(f"N must be >= 3, got {self.N}")
 
     @property
     def name(self) -> str:

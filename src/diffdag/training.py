@@ -510,8 +510,14 @@ def fit_direct(
     Each step draws one straight-through sample and descends the mean squared
     difference to the target adjacency. That loss is taken on the hard 0/1
     draw, so it stays finite; a step that leaves a sampler parameter
-    non-finite raises ``DivergenceError`` naming the step instead.
+    non-finite raises ``DivergenceError`` naming the step instead. An ``lr``
+    that is not finite and positive, or ``steps`` that is not an integer
+    >= 0, raises ``ValueError`` before any step.
     """
+    if not (math.isfinite(lr) and lr > 0):  # lr <= 0 would ascend the loss or not move
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     noise = GumbelSource(seed)
     target = Tensor(truth.entries.astype(np.float64))
     opt = Adam(model.parameters(), lr=lr)

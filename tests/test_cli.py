@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diffdag.cli import _write_manifest, main
+from diffdag.semdata import GenSpec
 from diffdag.training import TrainConfig
 
 
@@ -37,6 +38,14 @@ class TestGenerate:
         monkeypatch.setenv("DIFFDAG_OUT", str(tmp_path / "envroot"))
         assert run(["generate", "--kind", "er", "--n", "4", "--m", "3", "--samples", "30"]) == 0
         assert (tmp_path / "envroot" / "er-4-3-seed0" / "data.csv").exists()
+
+    def test_flags_set_genspec_fields(self, tmp_path):
+        out = str(tmp_path / "data")
+        assert run(["generate", "--kind", "sf", "--n", "5", "--m", "4", "--samples", "30",
+                    "--noise-std", "0.5", "--first-seed", "3", "--out", out]) == 0
+        manifest = json.loads((tmp_path / "data" / "sf-5-4-seed3" / "manifest.json").read_text())
+        # a flag left out keeps GenSpec's default
+        assert manifest["config"] == vars(GenSpec("sf", 5, 4, N=30, noise_std=0.5, seed=3))
 
     def test_manifest_contents(self, tmp_path):
         out = str(tmp_path / "data")
@@ -127,7 +136,46 @@ class TestValidation:
         with pytest.raises(SystemExit) as exc:
             run(["train", "--dataset", "whatever", flag, value])
         assert exc.value.code == 2
-        assert "expected a finite positive number" in capsys.readouterr().err
+        assert "must be finite and positive" in capsys.readouterr().err
+
+    # each once passed argparse and failed in TrainConfig or GenSpec with
+    # exit 1, or (train) after trying to read the dataset; the config it sets
+    # now rejects it before any file is read or written
+    @pytest.mark.parametrize(
+        ("argv", "field"),
+        [
+            (["train", "--dataset", "/nonexistent", "--hidden", "0"], "hidden"),
+            (["train", "--dataset", "/nonexistent", "--batch-size", "0"], "batch_size"),
+            (["train", "--dataset", "/nonexistent", "--seed", "-1"], "seed"),
+            (["train", "--dataset", "/nonexistent", "--lam", "0.5"], "lam"),
+            (["grid", "--dataset", "/nonexistent", "--priors", "0.9"], "prior_p"),
+            (["grid", "--dataset", "/nonexistent", "--lams", "0.05,0.5"], "lam"),
+            (["generate", "--kind", "er", "--n", "4", "--m", "3", "--noise-std", "nan"], "noise_std"),
+            (["generate", "--kind", "er", "--n", "4", "--m", "3", "--samples", "2"], "N"),
+            (["generate", "--kind", "er", "--n", "1", "--m", "1"], "n"),
+            (["generate", "--kind", "er", "--n", "4", "--m", "3", "--first-seed", "-1"], "seed"),
+            (["direct", "--n", "1", "--m", "1"], "n"),
+        ],
+    )
+    def test_value_the_config_rejects_is_usage_error(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: {field} " in errors[0]
+        assert "meta.json" not in errors[0]
+        assert not out.exists()
+
+    # lr=-1 once ran gradient ascent and wrote the ascended model's AUCs
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_direct_bad_learning_rate_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["direct", "--n", "4", "--m", "3", "--graphs", "1", "--lrs", "-1",
+                    "--steps", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: lr must be finite and positive, got -1.0\n"
+        assert not out.exists()
 
     # each once ran into numpy warnings and then `error: list index out of range`
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -141,6 +189,7 @@ class TestValidation:
             ["grid", "--dataset", "x", "--priors", ""],
             ["grid", "--dataset", "x", "--lams", ""],
             ["bench", "--sizes", ""],
+            ["generate", "--kind", "er", "--n", "4", "--m", "3", "--seeds", "0"],
         ],
     )
     def test_empty_run_list_is_one_line_usage_error(self, argv, capsys):

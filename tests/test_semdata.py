@@ -32,6 +32,34 @@ class TestGenSpec:
         with pytest.raises(ValueError, match="noise_std"):
             GenSpec(graph_kind="er", n=4, m=3, noise_std=0.0)
 
+    # NaN once passed and gave a NaN dataset; inf gave NaN after standardising
+    @pytest.mark.parametrize("name", ["noise_std", "root_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_nonpositive_std(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            GenSpec(graph_kind="er", n=4, m=3, **{name: value})
+
+    # N=3.5 once failed with a TypeError inside generate
+    @pytest.mark.parametrize("name", ["n", "m", "N", "seed"])
+    @pytest.mark.parametrize("value", [3.5, True, "4"])
+    def test_integer_fields_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GenSpec(**{"graph_kind": "er", "n": 4, "m": 3, name: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = GenSpec(graph_kind="er", n=np.int64(4), m=np.int32(3), N=np.int64(30), seed=np.uint32(2))
+        assert generate(spec).X.shape == (30, 4)
+
+    # seed=-1 once failed inside numpy, naming no field
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GenSpec(graph_kind="er", n=4, m=3, seed=-1)
+
+    @pytest.mark.parametrize(("field", "value"), [("n", 1), ("N", 2)])
+    def test_too_small_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            GenSpec(**{"graph_kind": "er", "n": 4, "m": 3, field: value})
+
 
 class TestGenGraph:
     def test_er_exact_edge_count(self):

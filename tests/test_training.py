@@ -462,6 +462,36 @@ class TestFitDirect:
                 fit_direct(truth, DpDagModel.create(4, perm_mode=mode), lr=1e308, steps=50)
 
 
+    # lr=-1 once ran gradient ascent, lr=0 trained nothing and steps=-3
+    # returned the untrained model, all silently
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"lr": -1.0}, "lr must be finite and positive"),
+            ({"lr": 0.0}, "lr must be finite and positive"),
+            ({"lr": float("nan")}, "lr must be finite and positive"),
+            ({"lr": float("inf")}, "lr must be finite and positive"),
+            ({"steps": -3}, "steps must be an integer >= 0"),
+            ({"steps": 2.5}, "steps must be an integer >= 0"),
+            ({"steps": True}, "steps must be an integer >= 0"),
+        ],
+    )
+    def test_bad_lr_or_steps_raise_before_any_step(self, kwargs, message):
+        truth = AdjacencyMatrix(np.triu(np.ones((4, 4), dtype=np.int8), 1))
+        model = DpDagModel.create(4)
+        before = [p.value.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match=message):
+            fit_direct(truth, model, **kwargs)
+        assert all(np.array_equal(a, p.value) for a, p in zip(before, model.parameters()))
+
+    def test_zero_steps_returns_the_model_unchanged(self):
+        truth = AdjacencyMatrix(np.triu(np.ones((4, 4), dtype=np.int8), 1))
+        model = DpDagModel.create(4)
+        before = model.edge_params.logits.value.copy()
+        assert fit_direct(truth, model, steps=0) is model
+        assert np.array_equal(model.edge_params.logits.value, before)
+
+
 class TestPredict:
     def test_empty_structure_gives_constant_columns(self):
         n = 4
