@@ -89,11 +89,21 @@ def _write_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return v
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return v
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy's generators take no negative seed
 
 
 def _nonempty(items: list, text: str) -> list:
@@ -107,8 +117,9 @@ def _float_list(text: str) -> list[float]:
     return _nonempty([float(t) for t in text.split(",") if t], text)
 
 
-def _int_list(text: str) -> list[int]:
-    return _nonempty([int(t) for t in text.split(",") if t], text)
+def _size_list(text: str) -> list[int]:
+    # a graph of fewer than two nodes has no edge to sample
+    return _nonempty([_int_at_least(2)(t) for t in text.split(",") if t], text)
 
 
 def _mode_list(text: str) -> list[str]:
@@ -352,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="sampling-time sweep over graph sizes")
-    p.add_argument("--sizes", type=_int_list, default=[10, 25, 50, 100, 200])
+    p.add_argument("--sizes", type=_size_list, default=[10, 25, 50, 100, 200])
     p.add_argument("--modes", type=_mode_list, default=[SINKHORN, TOPK])
     p.add_argument("--reps", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm-mode", choices=[SINKHORN, TOPK], default=TOPK)
     p.add_argument("--lrs", type=_float_list, default=[1.0, 0.1, 0.01, 0.001])
     p.add_argument("--steps", type=int, default=600)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_direct)
 

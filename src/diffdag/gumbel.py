@@ -138,9 +138,23 @@ class PermutationParams:
             raise ParameterError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
 
 
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    return m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
+def _lse_into(a: np.ndarray, axis: int, top: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``max + log(sum(exp(a - max)))`` along ``axis`` (kept as a length-1
+    axis) written into ``out``; ``top`` receives the maxima and ``e``, of
+    ``a``'s shape, the exponentials. Returns ``out``."""
+    np.maximum.reduce(a, axis=axis, keepdims=True, out=top)
+    np.subtract(a, top, out=e)
+    np.exp(e, out=e)
+    np.add.reduce(e, axis=axis, keepdims=True, out=out)
+    np.log(out, out=out)
+    return np.add(top, out, out=out)
+
+
+def _sums_near_one(s: np.ndarray, tol: float) -> bool:
+    """``abs(s - 1).max() < tol`` without the temporaries: rounding ``x - 1``
+    is monotone in ``x`` and ``fl(1 - x) = -fl(x - 1)``, so the largest
+    deviation sits at the maximum or the minimum. NaN fails either way."""
+    return bool(np.maximum.reduce(s, axis=None) - 1.0 < tol and 1.0 - np.minimum.reduce(s, axis=None) < tol)
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -223,35 +237,51 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     output does not depend on taping. Under a tape it records one
     ``"sinkhorn"`` node whose adjoint replays the saved iterates in reverse:
     exactly the gradient of the unrolled loop, at whatever round it stopped.
+
+    Each round tests the row sums first and the column sums only once the
+    rows pass, which is the same exit as testing the larger of the two
+    deviations: after a column step the columns are the ones already close
+    to 1, so the row test decides almost every round.
     """
     _check_temperature(tau)
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     m = m if isinstance(m, Tensor) else Tensor(m)
     # Iterates are kept only when a node will be recorded, as a flat list
-    # rows_1, p_1, rows_2, p_2, ...: naming no array beyond the two that the
-    # loop rebinds keeps an untaped draw's peak memory at four n x n arrays.
+    # rows_1, p_1, rows_2, p_2, ...; each is then a fresh array. Untaped, the
+    # row and column steps write into work and the exp into p, so a call
+    # holds three n x n arrays (work, p and the scratch e) whatever iters is.
     saved = [] if ad._active_tape() is not None and m.requires_grad else None
-    log_p = m.value / tau
+    work = m.value / tau  # the column step's output, which is never kept
+    e = np.empty_like(work)
+    rows_out, p_out = (None, None) if saved is not None else (work, np.empty_like(work))
+    n_rows, n_cols = work.shape
+    row_top, row_s = np.empty((n_rows, 1)), np.empty((n_rows, 1))
+    col_top, col_s = np.empty((1, n_cols)), np.empty((1, n_cols))
+    log_p = work
     for _ in range(iters):
-        log_p = log_p - _lse(log_p, axis=1)
+        log_p = np.subtract(log_p, _lse_into(log_p, 1, row_top, row_s, e), out=rows_out)
         if saved is not None:
             saved.append(log_p)
-        log_p = log_p - _lse(log_p, axis=0)
-        p = np.exp(log_p)
+        log_p = np.subtract(log_p, _lse_into(log_p, 0, col_top, col_s, e), out=work)
+        p = np.exp(log_p, out=p_out)
         if saved is not None:
             saved.append(p)
-        dev = max(np.abs(p.sum(axis=1) - 1.0).max(), np.abs(p.sum(axis=0) - 1.0).max())
-        if dev < tol:
-            break
+        if _sums_near_one(np.add.reduce(p, axis=1, keepdims=True, out=row_s), tol):
+            if _sums_near_one(np.add.reduce(p, axis=0, keepdims=True, out=col_s), tol):
+                break
 
     def bw(g, node):
         g = g * node.output.value  # through the final exp
+        t = np.empty_like(g)
         for rows_k, p_k in reversed(list(zip(node.saved[::2], node.saved[1::2]))):
             # column step: its softmax is p_k; row step: its softmax is exp(rows_k)
-            g -= p_k * g.sum(axis=0, keepdims=True)
-            g -= np.exp(rows_k) * g.sum(axis=1, keepdims=True)
-        return (g / tau,)
+            g -= np.multiply(p_k, np.add.reduce(g, axis=0, keepdims=True), out=t)
+            np.exp(rows_k, out=t)
+            t *= np.add.reduce(g, axis=1, keepdims=True)
+            g -= t
+        g /= tau
+        return (g,)
 
     return ad._record("sinkhorn", (m,), p, bw, saved)
 

@@ -167,6 +167,28 @@ class TestValidation:
         assert "meta.json" not in errors[0]
         assert not out.exists()
 
+    # a negative seed once failed in numpy with a message naming no flag
+    # (exit 1), and --sizes 0 or 1 timed and wrote rows for edgeless graphs
+    @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            (["bench", "--seed", "-1"], "--seed"),
+            (["direct", "--n", "4", "--m", "3", "--seed", "-1"], "--seed"),
+            (["bench", "--sizes", "0"], "--sizes"),
+            (["bench", "--sizes", "1"], "--sizes"),
+            (["bench", "--sizes", "5,1", "--modes", "topk"], "--sizes"),
+        ],
+    )
+    def test_flag_value_below_its_range_is_usage_error(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+        assert captured.out == "" and not out.exists()  # nothing timed, nothing written
+
     # lr=-1 once ran gradient ascent and wrote the ascended model's AUCs
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_direct_bad_learning_rate_fails_before_writing(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from diffdag.gumbel import (
     PermutationParams,
     _edge_rule,
     _sigmoid_np,
+    _sums_near_one,
     hungarian,
     sample_edges,
     sample_permutation,
@@ -181,6 +182,32 @@ def _sinkhorn_grad(op, m_value, w, **kw):
     return m.grad
 
 
+def _reference_sinkhorn(m, iters, tau, tol, cotangent):
+    """Reference: the loop and adjoint with a fresh array for every step and
+    both deviations tested each round. Returns the value and the adjoint of
+    ``cotangent``."""
+
+    def lse(a, axis):
+        top = a.max(axis=axis, keepdims=True)
+        return top + np.log(np.exp(a - top).sum(axis=axis, keepdims=True))
+
+    saved = []
+    log_p = m / tau
+    for _ in range(iters):
+        rows = log_p - lse(log_p, axis=1)
+        log_p = rows - lse(rows, axis=0)
+        p = np.exp(log_p)
+        saved.append((rows, p))
+        dev = max(np.abs(p.sum(axis=1) - 1.0).max(), np.abs(p.sum(axis=0) - 1.0).max())
+        if dev < tol:
+            break
+    g = cotangent * p
+    for rows_k, p_k in reversed(saved):
+        g -= p_k * g.sum(axis=0, keepdims=True)
+        g -= np.exp(rows_k) * g.sum(axis=1, keepdims=True)
+    return p, g / tau
+
+
 class TestSinkhornOp:
     """The fused op against the unrolled loop it replaces."""
 
@@ -194,6 +221,43 @@ class TestSinkhornOp:
                 got = _sinkhorn_grad(sinkhorn_operator, m, w, **kw)
                 ref = _sinkhorn_grad(_unrolled_sinkhorn, m, w, **kw)
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (tau, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        unit=st.integers(1, 12).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
+        ),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4, 1e12]),
+        tau=st.sampled_from([0.05, 1.0]),
+        tol=st.sampled_from([0.0, 1e-14, 1e-6]),
+        iters=st.sampled_from([1, 20]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_and_adjoint_equal_the_reference_bit_for_bit(self, unit, scale, tau, tol, iters, seed):
+        m = scale * unit
+        w = np.random.default_rng(seed).normal(size=m.shape)
+        ref_value, ref_grad = _reference_sinkhorn(m, iters, tau, tol, w)
+        kw = dict(iters=iters, tau=tau, tol=tol)
+        assert np.array_equal(sinkhorn_operator(m, **kw).value, ref_value)
+        with Tape() as tape:
+            taped = sinkhorn_operator(Tensor(m, requires_grad=True), **kw)
+        (node,) = tape.nodes
+        assert np.array_equal(taped.value, ref_value)
+        assert np.array_equal(node.backward_fn(w, node)[0], ref_grad)
+
+    def test_columns_hold_the_exit_until_they_pass(self):
+        # near-uniform scores converge to an ulp or two, where the column sums
+        # can sit further from 1 than the row sums: a tol between the two
+        # deviations must keep iterating after the rows pass
+        m = 0.01 * np.random.default_rng(0).normal(size=(12, 12))
+        kw = dict(iters=40, tau=1.0, tol=3e-16)
+        with Tape() as tape:
+            sinkhorn_operator(Tensor(m, requires_grad=True), **kw)
+        (node,) = tape.nodes
+        row_devs = [np.abs(p.sum(axis=1) - 1.0).max() for p in node.saved[1::2]]
+        assert min(row_devs) < kw["tol"] and len(row_devs) == kw["iters"]
+        ref_value, _ = _reference_sinkhorn(m, cotangent=np.ones_like(m), **kw)
+        assert np.array_equal(node.output.value, ref_value)
 
     def test_taped_and_untaped_outputs_identical(self, rng):
         for _ in range(30):
@@ -214,17 +278,35 @@ class TestSinkhornOp:
 
     def test_untaped_call_holds_no_iterates(self, rng):
         m = rng.normal(size=(200, 200))
-        tracemalloc.start()
-        try:
-            sinkhorn_operator(m, iters=20, tol=0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * m.nbytes  # four n x n arrays at once, whatever iters is
+
+        def traced_peak(iters):
+            tracemalloc.start()
+            try:
+                sinkhorn_operator(m, iters=iters, tol=0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sinkhorn_operator(m, iters=1)  # first-call caches stay out of the peaks
+        peaks = [traced_peak(iters) for iters in (1, 20)]
+        assert peaks[0] == peaks[1]  # nothing grows with the round count
+        assert peaks[1] <= 3.5 * m.nbytes  # the iterate, p and one scratch array
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ParameterError, match="iters"):
             sinkhorn_operator(np.eye(3), iters=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), tol=st.sampled_from([0.0, 1e-14, 1e-6, 0.5]) | st.floats(allow_nan=True))
+    def test_sum_check_is_the_largest_deviation_test(self, data, tol):
+        edges = [1.0, np.nan, np.inf, -np.inf]
+        with np.errstate(over="ignore"):  # the ulp above the largest float is inf
+            for bound in (1.0 + tol, 1.0 - tol):
+                edges += [bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)]
+        element = st.sampled_from(edges) | st.floats(allow_nan=True, allow_infinity=True)
+        s = np.array(data.draw(st.lists(element, min_size=1, max_size=12)))
+        want = bool(np.abs(s - 1.0).max() < tol)
+        assert _sums_near_one(s, tol) is want
 
     @settings(max_examples=80, deadline=None)
     @given(
