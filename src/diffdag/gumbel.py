@@ -238,10 +238,17 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     ``"sinkhorn"`` node whose adjoint replays the saved iterates in reverse:
     exactly the gradient of the unrolled loop, at whatever round it stopped.
 
-    Each round tests the row sums first and the column sums only once the
-    rows pass, which is the same exit as testing the larger of the two
-    deviations: after a column step the columns are the ones already close
-    to 1, so the row test decides almost every round.
+    A round's exit is tested at the top of the next round, where the next
+    row step's log-sum-exps, the logs of the row sums, are at hand. The
+    exact test (the row sums, then the column sums once the rows pass) runs
+    only when every row's log-sum-exp lies within a rounding slack of
+    ``(log(1 - tol), log(1 + tol))``; a row outside that band provably fails
+    it. After the column step the columns are the ones already close to 1,
+    so the rows decide almost every round. The last round is not tested:
+    exiting there returns the same output. So an untaped round computes two
+    log-sum-exps and the two steps, and ``exp`` of the iterate only when
+    the screen passes and once at the end; a taped round also saves the
+    fresh row iterate and its ``exp``, the adjoint's operands.
     """
     _check_temperature(tau)
     if iters < 1:
@@ -251,25 +258,60 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     # rows_1, p_1, rows_2, p_2, ...; each is then a fresh array. Untaped, the
     # row and column steps write into work and the exp into p, so a call
     # holds three n x n arrays (work, p and the scratch e) whatever iters is.
+    # Each broadcasting subtraction (two in _lse_into, the row and the column
+    # step) also makes numpy allocate and free a hidden iterator buffer even
+    # with out= given: 65 KB at n = 200 for (n, 1), (1, n), 1-d,
+    # broadcast_to and transposed operands alike, none when both operands
+    # are contiguous (n, n). It is the peak's headroom above three arrays.
     saved = [] if ad._active_tape() is not None and m.requires_grad else None
     work = m.value / tau  # the column step's output, which is never kept
     e = np.empty_like(work)
     rows_out, p_out = (None, None) if saved is not None else (work, np.empty_like(work))
     n_rows, n_cols = work.shape
-    row_top, row_s = np.empty((n_rows, 1)), np.empty((n_rows, 1))
+    row_top, row_s, sums = np.empty((n_rows, 1)), np.empty((n_rows, 1)), np.empty((n_rows, 1))
     col_top, col_s = np.empty((1, n_cols)), np.empty((1, n_cols))
+    # The exit screen. Let x be round k's iterate, s_i = sum_j exp(x_ij) the
+    # row sum the exact test takes and L_i the log-sum-exp the next row step
+    # takes, n = n_cols, u = 2^-53, and numpy's exp and log within 4 ulp (8u).
+    #  - s_i sums n non-negative rounded exps: relative error at most
+    #    (n - 1 + 8)u in any summation order (subnormal terms add at most
+    #    n * 2^-1074, nothing against a sum near 1).
+    #  - L_i = t + log(sum_j exp(fl(x_ij - t))), t the row's maximum. A
+    #    rounded shift moves its term by at most u|d|e^d <= u/e (d = x_ij - t
+    #    <= 0) against a sum >= 1, so the sum's relative error is at most
+    #    (n - 1 + 8 + n/e)u; its log, in [0, log n], adds 8u log n.
+    #  - Where the exact test can pass (0 < tol <= 1/2), s_i lies in
+    #    (1/2, 3/2), so |L_i| < 1 and the final add rounds by at most u.
+    # To first order |L_i - log s_i| <= (2n + n/e + 8 log n + 17)u < (4n + 62)u,
+    # and math.log1p (within 1 ulp below 1) and the band's own subtraction
+    # add u each: slack = (4n + 64)u, 4.5e-13 at n = 10^3, where the largest
+    # gap measured at n = 10..1000 was 10u. So a row whose L_i lies outside
+    # (log1p(-tol) - slack, log1p(tol) + slack) has |s_i - 1| >= tol (exact
+    # on [1/2, 2] by Sterbenz) and fails the exact test. NaN fails neither
+    # comparison, so it reaches the exact test, which fails it. Outside
+    # 0 < tol <= 1/2 the screen is open: for tol <= 0 the exact test cannot
+    # pass, and above 1/2 (no caller) s_i - 1 may round.
+    slack = (4 * n_cols + 64) * 2.0**-53
+    lo, hi = (math.log1p(-tol) - slack, math.log1p(tol) + slack) if 0 < tol <= 0.5 else (-math.inf, math.inf)
     log_p = work
-    for _ in range(iters):
-        log_p = np.subtract(log_p, _lse_into(log_p, 1, row_top, row_s, e), out=rows_out)
+    for k in range(iters):
+        lse = _lse_into(log_p, 1, row_top, row_s, e)
+        if k and not (np.maximum.reduce(lse, axis=None) >= hi or np.minimum.reduce(lse, axis=None) <= lo):
+            if saved is None:
+                p = np.exp(log_p, out=p_out)
+            if _sums_near_one(np.add.reduce(p, axis=1, keepdims=True, out=sums), tol):
+                if _sums_near_one(np.add.reduce(p, axis=0, keepdims=True, out=col_s), tol):
+                    break
+        log_p = np.subtract(log_p, lse, out=rows_out)
         if saved is not None:
             saved.append(log_p)
         log_p = np.subtract(log_p, _lse_into(log_p, 0, col_top, col_s, e), out=work)
-        p = np.exp(log_p, out=p_out)
         if saved is not None:
+            p = np.exp(log_p)
             saved.append(p)
-        if _sums_near_one(np.add.reduce(p, axis=1, keepdims=True, out=row_s), tol):
-            if _sums_near_one(np.add.reduce(p, axis=0, keepdims=True, out=col_s), tol):
-                break
+    else:
+        if saved is None:
+            p = np.exp(log_p, out=p_out)
 
     def bw(g, node):
         g = g * node.output.value  # through the final exp
@@ -299,9 +341,15 @@ def hungarian(profit) -> PermutationMatrix:
 
     Rows are added one at a time. Among equal reduced costs the search takes
     the lowest column index, so ties always resolve the same way. A row whose
-    cheapest reduced column is still free takes it at once, with no search;
-    otherwise the search runs in buffers allocated once per call, masking a
-    scanned column with +inf rather than dropping it.
+    cheapest reduced column is still free takes it at once, with no search.
+    Otherwise the search's k-th scan writes its reduced row into row k of an
+    (n, n) buffer allocated once per call, masking a scanned column with +inf
+    rather than dropping it, and keeps each column's tentative distance as a
+    running ``np.minimum``. A column's predecessor on the augmenting path is
+    the row of the first scan that reached that column's minimum, which is
+    what a strict ``<`` update records. ``np.minimum`` may keep -0.0 where
+    such an update keeps +0.0, so the potentials can differ from it in the
+    sign of a zero; comparisons ignore that sign, so the permutation cannot.
 
     Entries must be finite and at most 1e300 in magnitude; anything else
     raises ``ParameterError``.
@@ -315,19 +363,17 @@ def hungarian(profit) -> PermutationMatrix:
         raise ParameterError(f"profit entries must be finite and at most {_MAX_PROFIT:g} in magnitude")
     cost = -profit
     n = cost.shape[0]
+    cost_rows = list(cost)
     u = np.zeros(n)
     v = np.zeros(n)
-    col4row = np.full(n, -1, dtype=np.int64)
-    row4col = np.full(n, -1, dtype=np.int64)
-    reduced = np.empty(n)
-    shortest = np.empty(n)  # distance at which each scanned column was reached
+    col4row = [-1] * n
+    row4col = [-1] * n
+    scans = np.empty((n, n))  # row k: the k-th scan's reduced costs; a search scans at most n rows
     todo = np.empty(n)  # tentative distances; +inf once a column is scanned
     v_open = np.empty(n)  # v, with -inf at scanned columns so their reduced cost is +inf
-    pred = np.empty(n, dtype=np.int64)
-    better = np.empty(n, dtype=bool)
     for cur_row in range(n):
         # the first scan, at distance min_val = 0.0, in the later scans' order of operations
-        np.add(0.0, cost[cur_row], out=reduced)
+        reduced = np.add(0.0, cost_rows[cur_row], out=scans[0])
         reduced -= u[cur_row]
         reduced -= v
         j = int(reduced.argmin())
@@ -339,34 +385,31 @@ def hungarian(profit) -> PermutationMatrix:
             continue
         todo[:] = reduced
         v_open[:] = v
-        pred.fill(cur_row)
-        rows, cols = [], []
+        rows, cols, settled = [cur_row], [], []  # scanned rows; scanned columns and their distances
         while True:
-            shortest[j] = min_val
+            settled.append(min_val)
             todo[j] = np.inf
             v_open[j] = -np.inf
             cols.append(j)
-            i = int(row4col[j])
+            i = row4col[j]
             if i == -1:
                 break
+            reduced = np.add(min_val, cost_rows[i], out=scans[len(rows)])
             rows.append(i)
-            np.add(min_val, cost[i], out=reduced)
             reduced -= u[i]
             reduced -= v_open
-            np.less(reduced, todo, out=better)
-            np.copyto(todo, reduced, where=better)
-            np.copyto(pred, i, where=better)
+            np.minimum(todo, reduced, out=todo)
             j = int(todo.argmin())
             min_val = todo[j]
+        # row rows[k] (k >= 1) was matched to column cols[k - 1]
         u[cur_row] += min_val
-        rows = np.array(rows)
-        u[rows] += min_val - shortest[col4row[rows]]
-        cols = np.array(cols)
-        v[cols] -= min_val - shortest[cols]
+        settled = np.array(settled)
+        u[rows[1:]] += min_val - settled[:-1]
+        v[cols] -= min_val - settled
         while True:
-            i = int(pred[j])
+            i = rows[int(scans[: len(rows), j].argmin())]
             row4col[j] = i
-            col4row[i], j = j, int(col4row[i])
+            col4row[i], j = j, col4row[i]
             if i == cur_row:
                 break
     # matrix()[row4col[c], c] = 1 marks exactly the matched cells

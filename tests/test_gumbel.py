@@ -208,6 +208,17 @@ def _reference_sinkhorn(m, iters, tau, tol, cotangent):
     return p, g / tau
 
 
+def _near_doubly_stochastic_log(n, seed, spread):
+    """``log`` of a random mixture of the uniform matrix and three
+    permutation matrices (doubly stochastic), plus ``spread`` normal noise."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(4))
+    p = np.full((n, n), w[0] / n)
+    for wk in w[1:]:
+        p[np.arange(n), rng.permutation(n)] += wk
+    return np.log(p) + spread * rng.normal(size=(n, n))
+
+
 class TestSinkhornOp:
     """The fused op against the unrolled loop it replaces."""
 
@@ -259,6 +270,46 @@ class TestSinkhornOp:
         ref_value, _ = _reference_sinkhorn(m, cotangent=np.ones_like(m), **kw)
         assert np.array_equal(node.output.value, ref_value)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([0.0, 1e-8, 1e-4, 1e-2, 0.3, 3.0]),
+        tau=st.sampled_from([0.5, 1.0]),
+        tol=st.sampled_from([1e-3, 1e-2, 0.5]),
+        iters=st.integers(1, 200),
+    )
+    def test_early_exits_equal_the_reference_bit_for_bit(self, n, seed, spread, tau, tol, iters):
+        # near-doubly-stochastic inputs pass the exit test at varied rounds
+        m = _near_doubly_stochastic_log(n, seed, spread)
+        w = np.random.default_rng(seed).normal(size=m.shape)
+        ref_value, ref_grad = _reference_sinkhorn(m, iters, tau, tol, w)
+        kw = dict(iters=iters, tau=tau, tol=tol)
+        assert np.array_equal(sinkhorn_operator(m, **kw).value, ref_value)
+        with Tape() as tape:
+            taped = sinkhorn_operator(Tensor(m, requires_grad=True), **kw)
+        (node,) = tape.nodes
+        assert np.array_equal(taped.value, ref_value)
+        assert np.array_equal(node.backward_fn(w, node)[0], ref_grad)
+
+    def test_the_exact_test_decides_inside_the_screens_slack(self):
+        # round 1's worst row sum deviates from 1 by dev. At tol = dev that
+        # row's log-sum-exp sits on the screen's band edge, inside its slack,
+        # so only the exact test tells tol = dev (no exit, as dev < dev fails)
+        # from the next float up (exit after round 1)
+        m = 0.5 * np.random.default_rng(3).normal(size=(8, 8))
+        p1, _ = _reference_sinkhorn(m, 1, 1.0, 0.0, np.ones_like(m))
+        dev = np.abs(p1.sum(axis=1) - 1.0).max()
+        assert np.abs(p1.sum(axis=0) - 1.0).max() < dev < 0.5
+        for tol, rounds in ((dev, 2), (np.nextafter(dev, np.inf), 1)):
+            ref_value, _ = _reference_sinkhorn(m, 6, 1.0, tol, np.ones_like(m))
+            assert np.array_equal(sinkhorn_operator(m, iters=6, tol=tol).value, ref_value)
+            with Tape() as tape:
+                sinkhorn_operator(Tensor(m, requires_grad=True), iters=6, tol=tol)
+            (node,) = tape.nodes
+            assert len(node.saved) == 2 * rounds
+            assert np.array_equal(node.output.value, ref_value)
+
     def test_taped_and_untaped_outputs_identical(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 60))
@@ -290,7 +341,10 @@ class TestSinkhornOp:
         sinkhorn_operator(m, iters=1)  # first-call caches stay out of the peaks
         peaks = [traced_peak(iters) for iters in (1, 20)]
         assert peaks[0] == peaks[1]  # nothing grows with the round count
-        assert peaks[1] <= 3.5 * m.nbytes  # the iterate, p and one scratch array
+        # the iterate, p and one scratch array; the headroom above 3 is the
+        # hidden iterator buffer numpy allocates (and frees) for each
+        # broadcasting subtraction even with out= given, 65 KB at n = 200
+        assert peaks[1] <= 3.5 * m.nbytes
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ParameterError, match="iters"):
@@ -422,6 +476,36 @@ class TestHungarian:
         for n in (2, 5, 9):
             for value in (0.0, 1.0, -3.5):
                 _assert_same_as_reference(np.full((n, n), value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        kind=st.sampled_from(["integer", "dyadic", "saturated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_permutation_as_reference_on_ties_and_near_ties(self, n, kind, seed):
+        # equal reduced costs reached by several scans test the predecessor
+        # rule: the first scan to reach a column's minimum must win
+        rng = np.random.default_rng(seed)
+        if kind == "integer":
+            profit = rng.integers(-3, 4, (n, n)).astype(np.float64)
+        elif kind == "dyadic":
+            profit = rng.integers(-64, 65, (n, n)) / 16.0
+        else:  # most entries fall below 1e-12
+            scores = 5.0 * rng.normal(size=(n, n)) + GumbelSource(seed).gumbel((n, n))
+            profit = sinkhorn_operator(scores, iters=20, tau=0.05).value
+        _assert_same_as_reference(profit)
+
+    def test_hungarian_holds_no_per_scan_arrays(self, rng):
+        profit = sinkhorn_operator(rng.normal(size=(200, 200)) + GumbelSource(5).gumbel((200, 200)), iters=20).value
+        hungarian(profit)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            hungarian(profit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * profit.nbytes  # the cost copy and the scan buffer
 
     def test_same_permutation_as_reference_on_saturated_sinkhorn(self, rng):
         # most entries fall below 1e-12, so many reduced costs nearly tie
