@@ -4,9 +4,12 @@ Graphs come from two families: uniform order-consistent edge picks ("er")
 and preferential attachment ("sf"). Mechanisms are one fresh draw of a
 smooth random function per non-root node: a multivariate normal over the
 observed parent vectors with RBF covariance exp(-||a - b||^2 / 2), plus
-independent zero-mean Gaussian noise. Columns are standardized to zero mean
-and unit variance before anything trains on them; the flag is recorded in
-the dataset metadata because downstream error scales depend on it.
+independent zero-mean Gaussian noise. One such draw over N distinct parent
+vectors holds the N x N covariance, one more N x N array while building it,
+and numpy's own two while factorizing it; that is the peak memory of
+generation. Columns are standardized to zero mean and unit variance before
+anything trains on them; the flag is recorded in the dataset metadata
+because downstream error scales depend on it.
 
 On disk a dataset is a directory ``{name}/data.csv, truth.edges, meta.json``.
 """
@@ -174,26 +177,47 @@ def _sf_graph(n: int, m: int, rng: np.random.Generator) -> AdjacencyMatrix:
 
 
 def _rbf_gram(x: np.ndarray) -> np.ndarray:
+    """exp(-||a - b||^2 / 2) between the rows of ``x``, built in place.
+
+    Two N x N arrays are live while ``x @ x.T`` is folded into the squared
+    distances; the result is the second one. Each step is the same IEEE
+    operation as ``exp(-0.5 * max(sq_a + sq_b - 2 (x x^T), 0))``.
+    """
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    g = x @ x.T
+    g *= 2.0
+    d2 = np.add(sq[:, None], sq[None, :])
+    d2 -= g
+    del g
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-0.5 * d2)
+    d2 *= -0.5
+    np.exp(d2, out=d2)
+    return d2
 
 
 def gp_function_sample(parent_values: np.ndarray, rng: np.random.Generator, seed_echo=None) -> np.ndarray:
     """One random smooth function evaluated at the given parent vectors.
 
     Duplicate rows are collapsed before factorizing the covariance so equal
-    inputs map to exactly equal outputs, then scattered back.
+    inputs map to exactly equal outputs, then scattered back. Over N
+    distinct rows a draw holds the N x N gram, one more N x N array while
+    it builds the gram, and numpy's own two (a work copy and the factor)
+    while it factorizes. A failed factorization retries with the jitter
+    doubled, written onto the diagonal from the un-jittered one, so each
+    try sees the gram plus exactly that jitter.
     """
     uniq, inverse = np.unique(parent_values, axis=0, return_inverse=True)
     inverse = np.asarray(inverse).ravel()
     gram = _rbf_gram(uniq)
     z = rng.standard_normal(uniq.shape[0])
+    diag = gram.diagonal().copy()
     jitter = 1e-8
     while jitter <= 1e-2:
+        # equals gram + jitter * I: off the diagonal that adds +0.0, which
+        # changes no entry because exp never returns -0.0
+        np.fill_diagonal(gram, diag + jitter)
         try:
-            chol = np.linalg.cholesky(gram + jitter * np.eye(uniq.shape[0]))
+            chol = np.linalg.cholesky(gram)
             return (chol @ z)[inverse]
         except np.linalg.LinAlgError:
             jitter *= 2.0

@@ -37,7 +37,6 @@ __all__ = [
     "MechanismNet",
     "FitResult",
     "Adam",
-    "bernoulli_kl",
     "elbo_loss",
     "validation_loss",
     "fit",
@@ -289,16 +288,6 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-def bernoulli_kl(p: float | np.ndarray, q: float | np.ndarray) -> np.ndarray:
-    """Closed-form KL(Ber(p) || Ber(q)), taking 0 log 0 = 0 at p in {0, 1}."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ones = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-        zeros = np.where(p < 1, (1.0 - p) * (np.log1p(-p) - np.log1p(-q)), 0.0)
-    return ones + zeros
 
 
 def _kl_term(model: DpDagModel, mask: Tensor, prior_p: float) -> Tensor:

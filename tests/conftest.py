@@ -35,6 +35,17 @@ def transpose(x):
     return ad._record("transpose", (x,), x.value.T.copy(), lambda g, node: (g.T,))
 
 
+def bernoulli_kl(p, q):
+    """Closed-form KL(Ber(p) || Ber(q)), taking 0 log 0 = 0 at p in {0, 1}:
+    the oracle for the training objective's KL term."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ones = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+        zeros = np.where(p < 1, (1.0 - p) * (np.log1p(-p) - np.log1p(-q)), 0.0)
+    return ones + zeros
+
+
 def analytic_grads(build_loss, params):
     """Run one forward/backward and return each param's gradient."""
     for p in params:

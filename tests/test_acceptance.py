@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, auc_pr_oracle, auc_roc_oracle, enumerate_dags, tsum
+from conftest import assert_grads_close, auc_pr_oracle, auc_roc_oracle, bernoulli_kl, enumerate_dags, tsum
 from diffdag import autodiff as ad
 from diffdag.autodiff import Tensor
 from diffdag.graphs import AdjacencyMatrix, PermutationMatrix, compose, decompose, is_acyclic
@@ -43,7 +43,6 @@ from diffdag.training import (
     MechanismNet,
     TrainConfig,
     _kl_term,
-    bernoulli_kl,
     elbo_loss,
     fit,
     fit_direct,
@@ -254,15 +253,17 @@ class TestCriterion5OracleEquivalences:
         _report("criterion 5b (auc oracle)", worst <= 1e-12, f"max |gap|={worst:.2e}")
 
     def test_bernoulli_kl_closed_form(self):
+        # the objective's KL term, one edge at a time: a one-node model whose
+        # single logit is logit(p), against the two-term closed form
         rng = np.random.default_rng(1)
+        model = DpDagModel.create(1)
+        mask = Tensor(np.ones((1, 1)))
         worst = 0.0
         for _ in range(1000):
             p = rng.uniform(1e-4, 1 - 1e-4)
             q = rng.uniform(1e-4, 1 - 1e-4)
-            two_term = p * (math.log(p) - math.log(q)) + (1 - p) * (
-                math.log(1 - p) - math.log(1 - q)
-            )
-            worst = max(worst, abs(float(bernoulli_kl(p, q)) - two_term))
+            model.edge_params.logits.value = np.array([[math.log(p) - math.log1p(-p)]])
+            worst = max(worst, abs(float(_kl_term(model, mask, q).value) - float(bernoulli_kl(p, q))))
         _report("criterion 5c (bernoulli kl)", worst <= 1e-10, f"max |gap|={worst:.2e}")
 
     def test_factorization_round_trip_all_4_node_dags(self):

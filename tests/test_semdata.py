@@ -1,10 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diffdag import semdata
 from diffdag.graphs import AdjacencyMatrix, is_acyclic
 from diffdag.semdata import (
+    GenerationError,
     GenSpec,
     ParseError,
     SemDataset,
@@ -138,6 +143,127 @@ class TestMechanisms:
         # splits partition sizes round to +-1 on awkward N
         s = make_splits(853, seed=0)
         assert len(s.train) == 682 and len(s.val) == 85 and len(s.test) == 86
+
+
+def _reference_rbf_gram(x):
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-0.5 * d2)
+
+
+def _reference_gp_function_sample(parent_values, rng, seed_echo=None):
+    """The GP draw as first written: out-of-place gram, jitter * eye added."""
+    uniq, inverse = np.unique(parent_values, axis=0, return_inverse=True)
+    inverse = np.asarray(inverse).ravel()
+    gram = _reference_rbf_gram(uniq)
+    z = rng.standard_normal(uniq.shape[0])
+    jitter = 1e-8
+    while jitter <= 1e-2:
+        try:
+            chol = np.linalg.cholesky(gram + jitter * np.eye(uniq.shape[0]))
+            return (chol @ z)[inverse]
+        except np.linalg.LinAlgError:
+            jitter *= 2.0
+    raise GenerationError(f"covariance factorization failed up to jitter 1e-2 (seed={seed_echo})")
+
+
+@st.composite
+def _parent_columns(draw):
+    """1-4 parent columns over 3-200 rows at scales 1e-3..1e3, some rows
+    repeated and possibly one column constant."""
+    rows = draw(st.integers(3, 200))
+    cols = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = scale * rng.standard_normal((rows, cols))
+    repeats = draw(st.integers(0, rows - 1))
+    x[:repeats] = x[rng.integers(repeats, rows, size=repeats)]
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, cols - 1))] = scale * draw(st.floats(-2.0, 2.0))
+    return x
+
+
+def _draw_or_error(sample, x, seed):
+    try:
+        return sample(x, np.random.default_rng(seed), seed_echo=seed)
+    except GenerationError as exc:
+        return str(exc)
+
+
+class TestGpDraw:
+    """The in-place GP draw against the out-of-place one it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(x=_parent_columns(), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_reference(self, x, seed):
+        # both sides run in this process, so at whatever BLAS thread count it has
+        ours = _draw_or_error(gp_function_sample, x, seed)
+        ref = _draw_or_error(_reference_gp_function_sample, x, seed)
+        assert type(ours) is type(ref)
+        if isinstance(ref, str):
+            assert ours == ref
+        else:
+            assert np.array_equal(ours, ref)
+
+    @pytest.mark.parametrize(("kind", "n", "m"), [("er", 10, 10), ("sf", 20, 40), ("er", 50, 50)])
+    def test_generate_bit_identical_to_reference(self, monkeypatch, kind, n, m):
+        spec = GenSpec(graph_kind=kind, n=n, m=m, N=600, seed=3)
+        ours = generate(spec).X
+        monkeypatch.setattr(semdata, "gp_function_sample", _reference_gp_function_sample)
+        assert np.array_equal(ours, generate(spec).X)
+
+    @staticmethod
+    def _failing_cholesky(monkeypatch, failures):
+        """Patch numpy's Cholesky to fail ``failures`` times; returns a copy
+        of each matrix it was handed."""
+        real = np.linalg.cholesky
+        seen = []
+
+        def cholesky(a):
+            seen.append(np.array(a, copy=True))
+            if len(seen) <= failures:
+                raise np.linalg.LinAlgError("forced")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        return seen, real
+
+    def test_each_retry_sees_the_gram_plus_its_own_jitter(self, monkeypatch, rng):
+        x = rng.normal(size=(30, 2))
+        gram = _reference_rbf_gram(np.unique(x, axis=0))
+        seen, real = self._failing_cholesky(monkeypatch, 5)
+        f = gp_function_sample(x, np.random.default_rng(7))
+        assert len(seen) == 6
+        off = ~np.eye(gram.shape[0], dtype=bool)
+        for k, a in enumerate(seen):
+            assert np.array_equal(a[off], gram[off])
+            # doubled from 1e-8 each time, not summed over the failed tries
+            assert np.array_equal(np.diag(a), np.diag(gram) + 1e-8 * 2.0**k)
+        z = np.random.default_rng(7).standard_normal(gram.shape[0])
+        order = np.unique(x, axis=0, return_inverse=True)[1].ravel()
+        assert np.array_equal(f, (real(gram + 1e-8 * 2.0**5 * np.eye(gram.shape[0])) @ z)[order])
+
+    def test_twenty_failures_raise_naming_the_seed(self, monkeypatch, rng):
+        seen, _ = self._failing_cholesky(monkeypatch, 20)
+        with pytest.raises(GenerationError, match=r"jitter 1e-2 \(seed=42\)"):
+            gp_function_sample(rng.normal(size=(10, 1)), np.random.default_rng(0), seed_echo=42)
+        assert len(seen) == 20
+
+    def test_draw_holds_the_gram_and_at_most_one_more_array(self):
+        n = 500
+        x = np.random.default_rng(0).normal(size=(n, 2))  # distinct rows
+        gp_function_sample(x, np.random.default_rng(1))  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            gp_function_sample(x, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the gram and one more N x N array (x x^T while building, the factor
+        # while factorizing); numpy's Cholesky work buffer is allocated
+        # outside Python's allocator, so tracemalloc does not see it
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestDatasetIO:

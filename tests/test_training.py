@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import analytic_grads, numeric_grads, tsum
+from conftest import analytic_grads, bernoulli_kl, numeric_grads, tsum
 from diffdag import autodiff as ad
 from diffdag import gumbel
 from diffdag.autodiff import Tape, Tensor
@@ -20,7 +20,6 @@ from diffdag.training import (
     DivergenceError,
     MechanismNet,
     TrainConfig,
-    bernoulli_kl,
     elbo_loss,
     fit,
     fit_direct,
