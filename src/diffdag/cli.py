@@ -358,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics for a trained checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--bench-reps", type=int, default=10)
+    p.add_argument("--bench-reps", type=_positive_int, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="sampling-time sweep over graph sizes")
     p.add_argument("--sizes", type=_size_list, default=[10, 25, 50, 100, 200])
     p.add_argument("--modes", type=_mode_list, default=[SINKHORN, TOPK])
-    p.add_argument("--reps", type=int, default=30)
+    p.add_argument("--reps", type=_positive_int, default=30)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=_mode_list, default=[SINKHORN, TOPK])
     p.add_argument("--priors", type=_float_list, default=[0.01, 0.05, 0.1])
     p.add_argument("--lams", type=_float_list, default=[0.0, 0.01, 0.1])
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     add_train_flags(p, swept=True)
     p.set_defaults(func=cmd_grid)
 

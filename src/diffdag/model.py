@@ -232,6 +232,22 @@ def save_checkpoint(model: DpDagModel, path, extras: dict | None = None) -> None
         json.dump(blob, fh)
 
 
+def _finite_array(value, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``value`` as a new float64 array. One that is not numeric, has a shape
+    other than ``shape`` (when given) or holds a non-finite value raises
+    ValueError, its message starting with ``what``: every array a checkpoint
+    carries is read through here."""
+    try:
+        v = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a numeric array") from None
+    if shape is not None and v.shape != shape:
+        raise ValueError(f"{what} has shape {v.shape}, expected {shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} holds non-finite values")
+    return v
+
+
 _SCALAR_FIELDS = (
     ("n", int, "an integer"),
     ("perm_mode", str, "a string"),
@@ -258,14 +274,7 @@ def load_checkpoint(path) -> tuple[DpDagModel, dict]:
     for key, types, want in _SCALAR_FIELDS:
         if not isinstance(blob[key], types) or isinstance(blob[key], bool):
             raise ValueError(f"{path}: {key} must be {want}, got {blob[key]!r}")
-    arrays = {}
-    for key in ("edge_logits", "perm_scores"):
-        try:
-            arrays[key] = np.array(blob[key], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: {key} is not a numeric array") from None
-        if not np.isfinite(arrays[key]).all():
-            raise ValueError(f"{path}: {key} holds non-finite values")
+    arrays = {key: _finite_array(blob[key], f"{path}: {key}") for key in ("edge_logits", "perm_scores")}
     n = blob["n"]
     tau = float(blob["temperature"])
     model = DpDagModel(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -146,13 +146,10 @@ def gen_graph(spec: GenSpec) -> AdjacencyMatrix:
 def _er_graph(n: int, m: int, rng: np.random.Generator) -> AdjacencyMatrix:
     # Uniform node order, then m distinct order-consistent pairs uniformly.
     order = rng.permutation(n)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    chosen = rng.choice(len(pairs), size=m, replace=False)
+    earlier, later = np.triu_indices(n, 1)  # every position pair p < q, row by row
+    chosen = rng.choice(earlier.size, size=m, replace=False)
     a = np.zeros((n, n), dtype=np.int8)
-    for k in chosen:
-        p, q = pairs[k]
-        u, v = order[p], order[q]  # u earlier than v, edge u -> v
-        a[v, u] = 1
+    a[order[later[chosen]], order[earlier[chosen]]] = 1  # edge u -> v, u earlier than v
     return AdjacencyMatrix(a, validate=False)
 
 
@@ -240,15 +237,7 @@ def gen_mechanisms_and_sample(truth: AdjacencyMatrix, spec: GenSpec) -> SemDatas
             x[:, i] = gp_function_sample(x[:, parents], rng, seed_echo=spec.seed) + eps
     x = _standardize(x)
     meta = {
-        "generator": {
-            "graph_kind": spec.graph_kind,
-            "n": spec.n,
-            "m": spec.m,
-            "N": spec.N,
-            "noise_std": spec.noise_std,
-            "root_std": spec.root_std,
-            "seed": spec.seed,
-        },
+        "generator": asdict(spec),
         "standardized": True,
         "edge_count": truth.edge_count(),
     }
@@ -286,9 +275,12 @@ def load_csv(path, truth_path, seed: int = 0, name: str | None = None, standardi
         elif len(cells) != width:
             raise ParseError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric cell in {line.strip()!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}:{lineno}: non-finite cell in {line.strip()!r}")
+        rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     x = np.asarray(rows, dtype=np.float64)
@@ -326,15 +318,22 @@ def save_dataset(ds: SemDataset, directory) -> None:
 
 
 def load_dataset(directory) -> SemDataset:
-    """Inverse of :func:`save_dataset`. A ``shape`` in meta.json that differs
-    from data.csv's, or split indices that are not integers, fall outside
-    the rows or appear twice (within a split or across two), raise
-    ValueError naming the field."""
+    """Inverse of :func:`save_dataset`. A non-finite value in data.csv (naming
+    its first such row), a ``shape`` in meta.json that differs from data.csv's,
+    missing splits, or split indices that are not integers, fall outside the
+    rows or appear twice (within a split or across two), raise ValueError
+    naming the file or the field."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
-    x = np.loadtxt(os.path.join(directory, "data.csv"), delimiter=",", ndmin=2)
+    data_path = os.path.join(directory, "data.csv")
+    x = np.loadtxt(data_path, delimiter=",", ndmin=2)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{data_path}: row {bad[0]} holds a non-finite value")
     if "shape" in meta and list(meta["shape"]) != list(x.shape):
         raise ValueError(f"{directory}: meta.json shape {meta['shape']} does not match data.csv's {list(x.shape)}")
+    if "splits" not in meta:
+        raise ValueError(f"{directory}: meta.json has no splits")
     truth = load_edge_list(os.path.join(directory, "truth.edges"), n=x.shape[1])
     splits = _load_splits(directory, meta["splits"], x.shape[0])
     name = meta.get("name", os.path.basename(os.path.normpath(str(directory))))
@@ -349,6 +348,8 @@ def _load_splits(directory, splits: dict, rows: int) -> Splits:
     owner = np.full(rows, -1)  # position in _SPLITS of the split holding each row
     parts = {}
     for k, part in enumerate(_SPLITS):
+        if not isinstance(splits, dict) or part not in splits:
+            raise ValueError(f"{directory}: meta.json has no splits.{part}")
         idx = np.asarray(splits[part])
         if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise ValueError(f"{directory}: splits.{part} must be a list of integer row indices")

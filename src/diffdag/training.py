@@ -28,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .graphs import AdjacencyMatrix
 from .gumbel import SINKHORN, TOPK, GumbelSource, _sigmoid_np
-from .model import DpDagModel, _directed_scores, sample_dag, sample_dag_parts, threshold_dag
+from .model import DpDagModel, _directed_scores, _finite_array, sample_dag, sample_dag_parts, threshold_dag
 from .semdata import SemDataset
 
 __all__ = [
@@ -99,8 +99,17 @@ class TrainConfig:
         return dict(self.__dict__)
 
 
-# the stacked parameters whose axis 0 is the node
-_NODE_MAJOR = ("w1", "b1", "w2", "b2", "w3")
+def _node_shapes(n: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Node i's share of each mechanism parameter, in ``parameters()`` order:
+    also the version-1 checkpoint layout of ``layers[i]``."""
+    return {
+        "w1": (n, hidden),
+        "b1": (1, hidden),
+        "w2": (hidden, hidden),
+        "b2": (1, hidden),
+        "w3": (hidden, 1),
+        "b3": (1, 1),
+    }
 
 
 class MechanismNet:
@@ -109,37 +118,27 @@ class MechanismNet:
     Node i's input is the full observation row multiplied by row i of the
     sampled adjacency, so it can only depend on unmasked parents.
 
-    The n networks are stored node-major, with axis 0 the node: ``w1``
-    (n, n, h), ``b1`` (n, 1, h), ``w2`` (n, h, h), ``b2`` (n, 1, h) and
-    ``w3`` (n, h, 1), so ``w1[i]`` ... ``w3[i]`` are node i's own arrays;
-    ``b3`` is the (1, n) row of output biases. One forward pass computes all
-    n networks in numpy and records one ``"mechanisms"`` tape node, whatever
-    n is.
+    The n networks are six node-major stacks, with axis 0 the node: ``w1``
+    (n, n, h), ``b1`` (n, 1, h), ``w2`` (n, h, h), ``b2`` (n, 1, h), ``w3``
+    (n, h, 1) and ``b3`` (n, 1, 1), so ``p.value[i]`` is node i's own array
+    for every parameter ``p``, in the shape a checkpoint stores it. One
+    forward pass computes all n networks in numpy and records one
+    ``"mechanisms"`` tape node, whatever n is.
     """
 
     def __init__(self, n: int, hidden: int, rng: np.random.Generator):
-        layers = [
-            {
-                "w1": _he_init(rng, n, hidden),
-                "b1": np.zeros((1, hidden)),
-                "w2": _he_init(rng, hidden, hidden),
-                "b2": np.zeros((1, hidden)),
-                "w3": _he_init(rng, hidden, 1),
-                "b3": np.zeros((1, 1)),
-            }
-            for _ in range(n)
-        ]
-        self._stack(n, hidden, layers)
+        self._allocate(n, hidden)
+        for i in range(n):  # node by node: node i's three draws, then node i + 1's
+            self.w1.value[i] = _he_init(rng, n, hidden)
+            self.w2.value[i] = _he_init(rng, hidden, hidden)
+            self.w3.value[i] = _he_init(rng, hidden, 1)
 
-    def _stack(self, n: int, hidden: int, layers: list[dict[str, np.ndarray]]) -> None:
+    def _allocate(self, n: int, hidden: int) -> None:
+        """Zeroed stacks of every parameter, to be filled node by node."""
         self.n = n
         self.hidden = hidden
-
-        def stack(key):
-            return Tensor(np.stack([layer[key] for layer in layers]), requires_grad=True)
-
-        self.w1, self.b1, self.w2, self.b2, self.w3 = map(stack, _NODE_MAJOR)
-        self.b3 = Tensor(np.concatenate([layer["b3"] for layer in layers], axis=1), requires_grad=True)
+        for key, shape in _node_shapes(n, hidden).items():
+            setattr(self, key, Tensor(np.zeros((n, *shape)), requires_grad=True))
 
     def parameters(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
@@ -163,16 +162,16 @@ class MechanismNet:
         # (x * a_i) @ W1_i == x @ (diag(a_i) W1_i): mask the weights, not the batch
         h1, slope1 = _bias_leaky_relu(np.matmul(xv, self.w1.value * m[:, :, None]), self.b1.value)  # (n, b, h)
         h2, slope2 = _bias_leaky_relu(np.matmul(h1, self.w2.value), self.b2.value)
-        out = np.matmul(h2, self.w3.value)[:, :, 0].T + self.b3.value
+        out = np.matmul(h2, self.w3.value)[:, :, 0].T + self.b3.value[:, 0, 0]
 
         def bw(g, node):
             # bias sums as ones.T @ g, not .sum(axis): the summation order of
             # the separate matmul/add-row adjoints this node replaced, so seeded
             # fits stay bit-identical; in place only on arrays made here
-            w1, _, w2, _, w3, _, mask = node.inputs
+            w1, _, w2, _, w3, b3, mask = node.inputs
             xv, m, h1, slope1, h2, slope2 = node.saved
             ones_t = np.ones((xv.shape[0], 1)).T
-            gb3 = np.matmul(ones_t, g)
+            gb3 = np.matmul(ones_t, g).reshape(b3.value.shape)
             g = g.T[:, :, None]  # (n, b, 1)
             gw3 = np.matmul(h2.swapaxes(-1, -2), g)
             g = np.matmul(g, w3.value.swapaxes(-1, -2))
@@ -191,12 +190,10 @@ class MechanismNet:
         return ad._record("mechanisms", inputs, out, bw, (xv, m, h1, slope1, h2, slope2))
 
     def state(self) -> dict:
-        """Version-1 checkpoint layout: one ``{w1, b1, w2, b2, w3, b3}`` dict per node."""
-        layers = []
-        for i in range(self.n):
-            layer = {key: getattr(self, key).value[i] for key in _NODE_MAJOR}
-            layer["b3"] = self.b3.value[:, i : i + 1]
-            layers.append({k: v.tolist() for k, v in layer.items()})
+        """Version-1 checkpoint layout: one ``{w1, b1, w2, b2, w3, b3}`` dict
+        per node, holding ``p.value[i]`` of each parameter as nested lists."""
+        keys = _node_shapes(self.n, self.hidden)
+        layers = [{key: getattr(self, key).value[i].tolist() for key in keys} for i in range(self.n)]
         return {"n": self.n, "hidden": self.hidden, "layers": layers}
 
     @classmethod
@@ -213,33 +210,15 @@ class MechanismNet:
         if not isinstance(layers, list) or len(layers) != n:
             count = len(layers) if isinstance(layers, list) else type(layers).__name__
             raise ValueError(f"mechanism state: n = {n} but layers holds {count}")
-        shapes = {
-            "w1": (n, hidden),
-            "b1": (1, hidden),
-            "w2": (hidden, hidden),
-            "b2": (1, hidden),
-            "w3": (hidden, 1),
-            "b3": (1, 1),
-        }
-        arrays = []
+        shapes = _node_shapes(n, hidden)
+        net = cls.__new__(cls)
+        net._allocate(int(n), int(hidden))
         for i, layer in enumerate(layers):
             if not isinstance(layer, dict) or set(layer) != set(shapes):
                 got = sorted(layer) if isinstance(layer, dict) else type(layer).__name__
                 raise ValueError(f"mechanism state: node {i} has keys {got}, expected {list(shapes)}")
-            node = {}
             for key, shape in shapes.items():
-                try:
-                    v = np.array(layer[key], dtype=np.float64)
-                except (TypeError, ValueError):
-                    raise ValueError(f"mechanism state: node {i} key {key!r} is not a numeric array") from None
-                if v.shape != shape:
-                    raise ValueError(f"mechanism state: node {i} key {key!r} has shape {v.shape}, expected {shape}")
-                if not np.isfinite(v).all():
-                    raise ValueError(f"mechanism state: node {i} key {key!r} holds non-finite values")
-                node[key] = v
-            arrays.append(node)
-        net = cls.__new__(cls)
-        net._stack(int(n), int(hidden), arrays)
+                getattr(net, key).value[i] = _finite_array(layer[key], f"mechanism state: node {i} key {key!r}", shape)
         return net
 
 

@@ -168,7 +168,9 @@ class TestValidation:
         assert not out.exists()
 
     # a negative seed once failed in numpy with a message naming no flag
-    # (exit 1), and --sizes 0 or 1 timed and wrote rows for edgeless graphs
+    # (exit 1), --sizes 0 or 1 timed and wrote rows for edgeless graphs,
+    # --bench-reps 0 failed after computing every metric, and --workers -2
+    # ran serially and recorded -2 in the manifest
     @pytest.mark.parametrize(
         ("argv", "flag"),
         [
@@ -177,6 +179,11 @@ class TestValidation:
             (["bench", "--sizes", "0"], "--sizes"),
             (["bench", "--sizes", "1"], "--sizes"),
             (["bench", "--sizes", "5,1", "--modes", "topk"], "--sizes"),
+            (["bench", "--reps", "0"], "--reps"),
+            (["eval", "--checkpoint", "/nonexistent", "--dataset", "/nonexistent", "--bench-reps", "0"],
+             "--bench-reps"),
+            (["grid", "--dataset", "/nonexistent", "--workers", "-2"], "--workers"),
+            (["grid", "--dataset", "/nonexistent", "--workers", "0"], "--workers"),
         ],
     )
     def test_flag_value_below_its_range_is_usage_error(self, argv, flag, tmp_path, capsys):
@@ -221,6 +228,19 @@ class TestValidation:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "index" not in err
+
+    # a nan in data.csv once trained (exit 0) and then evaluated to "mse": NaN
+    def test_non_finite_data_fails_before_training(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        assert run(["generate", "--kind", "er", "--n", "4", "--m", "3", "--samples", "30", "--out", data]) == 0
+        path = tmp_path / "data" / "er-4-3-seed0" / "data.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = "nan," + lines[5].split(",", 1)[1]
+        path.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", str(path.parent), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith("data.csv: row 5 holds a non-finite value\n")
+        assert not out.exists()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(SystemExit):

@@ -94,6 +94,20 @@ class TestGenGraph:
         spec = GenSpec(graph_kind="er", n=8, m=12, seed=3)
         assert gen_graph(spec) == gen_graph(spec)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_er_matches_pair_list_reference(self, data, seed):
+        n = data.draw(st.integers(2, 40))
+        m = data.draw(st.integers(1, n * (n - 1) // 2))
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        want = np.zeros((n, n), dtype=np.int8)
+        for k in rng.choice(len(pairs), size=m, replace=False):
+            p, q = pairs[k]
+            want[order[q], order[p]] = 1
+        assert np.array_equal(semdata._er_graph(n, m, np.random.default_rng(seed)).entries, want)
+
 
 class TestMechanisms:
     def test_empty_truth_pure_noise(self):
@@ -286,8 +300,10 @@ class TestDatasetIO:
             (lambda meta: meta["splits"]["test"].append(meta["splits"]["test"][0]), "splits.test lists row .* twice"),
             (lambda meta: meta["splits"].update(train=[0.5]), "splits.train must be a list of integer"),
             (lambda meta: meta.update(shape=[7, 9]), r"shape \[7, 9\] does not match data.csv's \[120, 6\]"),
+            (lambda meta: meta.pop("splits"), "d: meta.json has no splits$"),
+            (lambda meta: meta["splits"].pop("val"), "d: meta.json has no splits.val$"),
         ],
-        ids=["val-out-of-range", "negative-index", "overlap", "repeat", "non-integer", "shape"],
+        ids=["val-out-of-range", "negative-index", "overlap", "repeat", "non-integer", "shape", "no-splits", "no-val"],
     )
     def test_load_rejects_bad_meta(self, tmp_path, edit, message):
         ds = generate(GenSpec(graph_kind="er", n=6, m=8, N=120, seed=5))
@@ -297,6 +313,26 @@ class TestDatasetIO:
         edit(meta)
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=message):
+            load_dataset(tmp_path / "d")
+
+    def test_generator_meta_is_the_spec_in_field_order(self):
+        meta = generate(GenSpec(graph_kind="er", n=4, m=3, N=30, seed=2)).meta
+        assert json.dumps(meta["generator"]) == (
+            '{"graph_kind": "er", "n": 4, "m": 3, "N": 30, "noise_std": 1.0, "root_std": 1.0, "seed": 2}'
+        )
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_load_rejects_non_finite_data_naming_the_row(self, tmp_path, cell):
+        ds = generate(GenSpec(graph_kind="er", n=6, m=8, N=120, seed=5))
+        save_dataset(ds, tmp_path / "d")
+        path = tmp_path / "d" / "data.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        row = int(ds.splits.test[0])
+        cells = lines[row].rstrip("\n").split(",")
+        cells[2] = cell
+        lines[row] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"data.csv: row {row} holds a non-finite value$"):
             load_dataset(tmp_path / "d")
 
     def test_load_csv_sachs_shape(self, tmp_path):
@@ -336,6 +372,14 @@ class TestDatasetIO:
         path.write_text("1.0,2.0\n3.0\n")
         (tmp_path / "t.edges").write_text("1 2\n")
         with pytest.raises(ParseError, match=":2"):
+            load_csv(path, tmp_path / "t.edges")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reported_by_line(self, tmp_path, cell):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n5.0,6.0\n")
+        (tmp_path / "t.edges").write_text("1 2\n")
+        with pytest.raises(ParseError, match=rf"obs.csv:3: non-finite cell in '3.0,{cell}'"):
             load_csv(path, tmp_path / "t.edges")
 
     def test_non_numeric_cell_reported(self, tmp_path):

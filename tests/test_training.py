@@ -563,7 +563,7 @@ def reference_forward(state, x, mask, g=None):
 
 def node_blocks(mech, j):
     """Node j's slice of each stacked parameter, in parameters() order."""
-    return [(p, j) for p in (mech.w1, mech.b1, mech.w2, mech.b2, mech.w3)] + [(mech.b3, (slice(None), j))]
+    return [(p, j) for p in mech.parameters()]
 
 
 class TestStackedMechanisms:
@@ -581,6 +581,18 @@ class TestStackedMechanisms:
             assert np.array_equal(layer["w3"], w3)
             assert not np.any(layer["b1"]) and not np.any(layer["b2"]) and not np.any(layer["b3"])
         assert len(mech.parameters()) == 6
+
+    @pytest.mark.parametrize("make", ["init", "from_state"])
+    def test_every_parameter_is_node_major_in_the_state_layout(self, make):
+        n, h = 4, 3
+        rng = np.random.default_rng(9)
+        mech = MechanismNet(n, h, rng) if make == "init" else MechanismNet.from_state(seed_format_state(n, h, rng))
+        shapes = {"w1": (n, h), "b1": (1, h), "w2": (h, h), "b2": (1, h), "w3": (h, 1), "b3": (1, 1)}
+        layers = mech.state()["layers"]
+        for p, (key, shape) in zip(mech.parameters(), shapes.items()):
+            assert p is getattr(mech, key) and p.value.shape == (n, *shape)
+            for i in range(n):
+                assert p.value[i].tolist() == layers[i][key]
 
     @pytest.mark.parametrize("hard", [True, False])
     def test_matches_per_node_reference(self, hard):
@@ -635,10 +647,9 @@ class TestStackedMechanisms:
         got = node.backward_fn(g, node)
         ref_out, ref_grads, ref_gmask = reference_forward(state, x, mask, g)
         np.testing.assert_allclose(out.value, ref_out, rtol=0, atol=1e-12)
-        for key, grad in zip(["w1", "b1", "w2", "b2", "w3"], got):
+        for key, grad in zip(["w1", "b1", "w2", "b2", "w3", "b3"], got):
             for i in range(n):
                 np.testing.assert_allclose(grad[i], ref_grads[i][key], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got[5], np.concatenate([r["b3"] for r in ref_grads], axis=1), rtol=0, atol=1e-12)
         if mask_grad:
             np.testing.assert_allclose(got[6], ref_gmask, rtol=0, atol=1e-12)
         else:
