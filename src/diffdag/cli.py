@@ -162,10 +162,10 @@ def cmd_train(args) -> int:
                 os.remove(os.path.join(out_dir, stale))
         _write_manifest(out_dir, "train", config, diverged=str(exc))
         raise
-    _write_manifest(out_dir, "train", config)
+    # the wall time goes to the manifest, so equal flags write equal checkpoint bytes
+    _write_manifest(out_dir, "train", config, train_seconds=result.wall_time_seconds)
     extras = {
         "mechanisms": result.mechanisms.state(),
-        "train_seconds": result.wall_time_seconds,
         "best_val_loss": result.best_val_loss,
         "best_epoch": result.best_epoch,
         "dataset": dataset.name,
@@ -179,6 +179,19 @@ def cmd_train(args) -> int:
         f"at epoch {result.best_epoch} in {result.wall_time_seconds:.1f}s -> {out_dir}"
     )
     return 0
+
+
+def _train_seconds(checkpoint: str, extras: dict):
+    """The training wall time: from the train run's manifest beside
+    ``checkpoint``, else from an older checkpoint's ``extras``, else None."""
+    try:
+        with open(os.path.join(os.path.dirname(checkpoint), "manifest.json")) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):  # no manifest, or not JSON
+        manifest = None
+    if isinstance(manifest, dict) and "train_seconds" in manifest:
+        return manifest["train_seconds"]
+    return extras.get("train_seconds")
 
 
 def cmd_eval(args) -> int:
@@ -197,7 +210,7 @@ def cmd_eval(args) -> int:
             row[f"shd@{t}"] = shd(threshold_dag(model, t), dataset.truth)
         x_hat = predict(mechanisms, model, dataset.test_X())
     row["mse"] = mechanism_mse(dataset.test_X(), x_hat)
-    row["train_seconds"] = extras.get("train_seconds")
+    row["train_seconds"] = _train_seconds(args.checkpoint, extras)
     if not gt_dag:
         sample_mean, _ = bench_sampling(model, repetitions=args.bench_reps)
         row["sample_seconds"] = sample_mean

@@ -1,10 +1,20 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
+
+
+def pytest_report_header(config):
+    """numpy's version, its BLAS and the BLAS thread settings: generated
+    data, and with it the data-based acceptance criteria, depend on the
+    BLAS thread count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}, {threads}"
 
 
 # Test-local tape ops that the library no longer needs: a sum readout for

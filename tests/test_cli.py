@@ -96,6 +96,43 @@ class TestTrainEval:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
 
+    def test_equal_flags_write_equal_checkpoint_bytes(self, small_run, tmp_path):
+        root, dataset, ckpt = small_run
+        out = str(tmp_path / "again")
+        assert run(["train", "--dataset", dataset, "--max-epochs", "12",
+                    "--hidden", "8", "--out", out]) == 0
+        again = os.path.join(out, "train-er-6-6-seed0-seed0")
+        with open(os.path.join(again, "checkpoint.json"), "rb") as a, open(ckpt, "rb") as b:
+            assert a.read() == b.read()
+        # the wall time lives in the run's manifest instead
+        with open(os.path.join(again, "manifest.json")) as fh:
+            assert json.load(fh)["train_seconds"] > 0
+
+    def test_eval_reads_train_seconds_from_either_layout(self, small_run, tmp_path):
+        root, dataset, ckpt = small_run
+
+        def eval_train_seconds(checkpoint):
+            out = str(tmp_path / "metrics")
+            assert run(["eval", "--checkpoint", checkpoint, "--dataset", dataset,
+                        "--bench-reps", "1", "--out", out]) == 0
+            with open(os.path.join(out, "metrics-er-6-6-seed0.json")) as fh:
+                return json.load(fh)["train_seconds"]
+
+        with open(os.path.join(os.path.dirname(ckpt), "manifest.json")) as fh:
+            assert eval_train_seconds(ckpt) == json.load(fh)["train_seconds"] > 0
+        # a checkpoint written before the wall time moved holds it in its
+        # extras; with no manifest beside it that is the value reported
+        with open(ckpt) as fh:
+            blob = json.load(fh)
+        old = tmp_path / "old"
+        old.mkdir()
+        blob["extras"]["train_seconds"] = 1.25
+        (old / "checkpoint.json").write_text(json.dumps(blob))
+        assert eval_train_seconds(str(old / "checkpoint.json")) == 1.25
+        del blob["extras"]["train_seconds"]
+        (old / "checkpoint.json").write_text(json.dumps(blob))
+        assert eval_train_seconds(str(old / "checkpoint.json")) is None
+
     def test_gt_dag_training(self, small_run, tmp_path):
         root, dataset, ckpt = small_run
         out = str(tmp_path / "gt")

@@ -12,6 +12,7 @@ from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
 from diffdag.graphs import PermutationMatrix, compose, is_acyclic, UpperTriangularEdges
 from diffdag.gumbel import (
+    _U_EPS,
     SINKHORN,
     TOPK,
     EdgeParams,
@@ -34,6 +35,23 @@ class TestGumbelSource:
         a = GumbelSource(42).gumbel((3, 3))
         b = GumbelSource(42).gumbel((3, 3))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [1, 7, (3, 3), (10, 10), (200, 200)])
+    def test_clamp_equals_np_clip(self, shape):
+        for seed in (0, 1, 7919):
+            u = np.random.Generator(np.random.Philox(seed)).random(shape)
+            want = -np.log(-np.log(np.clip(u, _U_EPS, 1.0 - _U_EPS)))
+            assert np.array_equal(GumbelSource(seed).gumbel(shape), want)
+
+    def test_clamp_at_the_uniforms_ends(self):
+        # random() returns values in [0, 1 - 2**-53]; both ends are clamped
+        u = np.array([0.0, 1e-300, _U_EPS, 0.5, 1.0 - _U_EPS, 1.0 - 2.0**-53])
+        source = GumbelSource(0)
+        source._gen = type("Fixed", (), {"random": lambda self, shape: u.copy().reshape(shape)})()
+        want = -np.log(-np.log(np.clip(u, _U_EPS, 1.0 - _U_EPS)))
+        got = source.gumbel(u.shape)
+        assert np.array_equal(got, want) and np.isfinite(got).all()
+        assert got[0] == got[1] == got[2] and got[-1] == got[-2]
 
     def test_distribution_moments(self):
         g = GumbelSource(0).gumbel(200_000)
@@ -292,6 +310,31 @@ class TestSinkhornOp:
         assert np.array_equal(taped.value, ref_value)
         assert np.array_equal(node.backward_fn(w, node)[0], ref_grad)
 
+    @pytest.mark.parametrize("tol", [1e-6, 0.5, 0.0])
+    @pytest.mark.parametrize("row_0_inside", [True, False])
+    def test_row_0_screen_equals_the_reference_bit_for_bit(self, row_0_inside, tol):
+        # two independent diagonal blocks (exp(-800) is 0): a lone row 0 sums
+        # to 1 from the start, while slow's rows stay far from 1 for 14-24
+        # rounds and a constant block's rows sum to 1 from the start
+        slow = [[0.0, 0.0, 0.0], [0.0, -20.0, -20.0], [0.0, -20.0, -20.0]]
+        first, second = ([[0.0]], slow) if row_0_inside else (slow, np.zeros((4, 4)))
+        k = len(first)
+        m = np.full((k + len(second),) * 2, -800.0)
+        m[:k, :k], m[k:, k:] = first, second
+        w = np.random.default_rng(5).normal(size=m.shape)
+        if tol:  # the screen at round 2 sees round 1's row sums; a later row lies on the other side
+            p1, _ = _reference_sinkhorn(m, 1, 1.0, 0.0, w)
+            inside = np.abs(p1.sum(axis=1) - 1.0) < tol
+            assert inside[0] == row_0_inside and (inside[1:] != inside[0]).any()
+        ref_value, ref_grad = _reference_sinkhorn(m, 60, 1.0, tol, w)
+        assert np.array_equal(sinkhorn_operator(m, iters=60, tol=tol).value, ref_value)
+        with Tape() as tape:
+            taped = sinkhorn_operator(Tensor(m, requires_grad=True), iters=60, tol=tol)
+        (node,) = tape.nodes
+        assert np.array_equal(taped.value, ref_value)
+        assert np.array_equal(node.backward_fn(w, node)[0], ref_grad)
+        assert (len(node.saved) < 2 * 60) == (tol > 0)  # every positive tol exits early
+
     def test_the_exact_test_decides_inside_the_screens_slack(self):
         # round 1's worst row sum deviates from 1 by dev. At tol = dev that
         # row's log-sum-exp sits on the screen's band edge, inside its slack,
@@ -345,6 +388,16 @@ class TestSinkhornOp:
         # hidden iterator buffer numpy allocates (and frees) for each
         # broadcasting subtraction even with out= given, 65 KB at n = 200
         assert peaks[1] <= 3.5 * m.nbytes
+
+    def test_matrix_with_no_entries(self):
+        for shape in ((0, 0), (3, 0), (0, 3)):
+            assert sinkhorn_operator(np.zeros(shape)).value.shape == shape
+            m = Tensor(np.zeros(shape), requires_grad=True)
+            with Tape() as tape:
+                p = sinkhorn_operator(m)
+            (node,) = tape.nodes
+            assert p.value.shape == shape and node.saved == []
+            assert node.backward_fn(np.zeros(shape), node)[0].shape == shape
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ParameterError, match="iters"):
@@ -474,8 +527,15 @@ class TestHungarian:
             n = int(rng.integers(1, 10))
             _assert_same_as_reference(rng.integers(-3, 4, (n, n)).astype(np.float64))
         for n in (2, 5, 9):
-            for value in (0.0, 1.0, -3.5):
+            for value in (0.0, -0.0, 1.0, -3.5):
                 _assert_same_as_reference(np.full((n, n), value))
+        # a row's first scan is cost - v, which can differ from the
+        # reference's ((0 + cost) - u) - v in the sign of a zero
+        for _ in range(200):
+            n = int(rng.integers(1, 10))
+            signed_zeros = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+            _assert_same_as_reference(signed_zeros)
+            _assert_same_as_reference(np.where(rng.random((n, n)) < 0.5, signed_zeros, rng.integers(-2, 3, (n, n))))
 
     @settings(max_examples=200, deadline=None)
     @given(

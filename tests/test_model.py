@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import analytic_grads, enumerate_dags, tsum
 from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
-from diffdag.graphs import is_acyclic
+from diffdag.graphs import AdjacencyMatrix, is_acyclic
 from diffdag.gumbel import (
     SINKHORN,
     TOPK,
@@ -44,6 +45,13 @@ class TestSampleDag:
         model = make_model(n, logits=np.full((n, n), 10.0))
         hard, _ = sample_dag(model, GumbelSource(0))
         assert hard.edge_count() == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("mode, taped", [(SINKHORN, False), (SINKHORN, True), (TOPK, False)])
+    def test_model_with_no_nodes_draws_the_empty_dag(self, mode, taped):
+        model = DpDagModel.create(0, perm_mode=mode)
+        with Tape() if taped else contextlib.nullcontext():
+            hard, _ = sample_dag(model, GumbelSource(0))
+        assert hard == AdjacencyMatrix(np.zeros((0, 0)))
 
     def test_negative_logits_give_empty_graph(self):
         model = make_model(5, logits=np.full((5, 5), -10.0))
