@@ -2,19 +2,15 @@
 
 A :class:`Tape` records every operation applied to :class:`Tensor` objects
 while it is active; ``tape.backward(loss)`` then walks the record in reverse
-and accumulates ``d loss / d leaf`` into each leaf's ``.grad``. Each op is a
-plain function that computes its value in numpy and records one node with its
-own adjoint through :func:`_record`. This module defines the generic ops
-``add``, ``sub``, ``mul`` and ``squared_norm``; seven fused ops defined
-elsewhere record themselves the same way, one node per operation of the
-model: the Sinkhorn operator, SoftSort and the edge relaxation in
-:mod:`diffdag.gumbel`, the order mask ``P^T M P`` and the masked adjacency in
-:mod:`diffdag.model`, and the per-node mechanism MLPs and the KL term in
-:mod:`diffdag.training`. The vocabulary holds only the ops the library calls,
-with no general broadcasting, and every adjoint is finite-difference checked
-on its own. Operands are at most 3-d, because the stacked mechanism
-parameters are. ``add``, ``sub`` and ``mul`` pair equal shapes, or a scalar
-with anything.
+and accumulates ``d loss / d leaf`` into each leaf's ``.grad``. This module
+is the tape alone: it defines no op. Each op is a plain function elsewhere
+that computes its value in numpy and records one node with its own adjoint
+through :func:`_record`, one node per operation of the model: the Sinkhorn
+operator, SoftSort and the edge relaxation in :mod:`diffdag.gumbel`, the
+order mask ``P^T M P`` and the masked adjacency in :mod:`diffdag.model`, and
+the per-node mechanism MLPs, the KL term and the loss in
+:mod:`diffdag.training`. Every adjoint is finite-difference checked on its
+own. Tensors are at most 3-d, because the stacked mechanism parameters are.
 
 Only leaves get a ``.grad``: the ``requires_grad`` tensors, such as
 parameters, that no node of the tape produced. An op output's gradient lives
@@ -78,10 +74,6 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 class _Node:
     __slots__ = ("kind", "inputs", "output", "backward_fn", "saved")
 
@@ -114,8 +106,8 @@ class Tape:
         Gradients flow through a per-call workspace, so stale ``.grad`` from
         earlier steps leaks only into the final leaf accumulation. An op
         output's entry is popped when its node consumes it; whatever is left
-        at the end belongs to leaves. Adjoints such as ``add``'s pass ``g``
-        itself on, so a gradient may be shared and is never written to: a
+        at the end belongs to leaves. An adjoint may pass ``g`` itself
+        on, so a gradient may be shared and is never written to: a
         second write for a tensor is summed into a new array, and a leaf whose
         ``.grad`` is ``None`` gets a copy.
         """
@@ -146,11 +138,6 @@ class Tape:
                 t.grad = np.asarray(t.grad + g)
 
 
-# ---------------------------------------------------------------------------
-# ops
-# ---------------------------------------------------------------------------
-
-
 def _record(kind, inputs, value, backward_fn, saved=None) -> Tensor:
     out = Tensor(value)
     tape = _active_tape()
@@ -158,67 +145,3 @@ def _record(kind, inputs, value, backward_fn, saved=None) -> Tensor:
         out.requires_grad = True
         tape.nodes.append(_Node(kind, tuple(inputs), out, backward_fn, saved))
     return out
-
-
-def _need_same_shape(kind, a, b):
-    # Scalars may pair with anything (matrix +/-/* scalar); otherwise exact match.
-    if a.value.shape != b.value.shape and a.value.size != 1 and b.value.size != 1:
-        raise DimensionError(f"{kind}: shapes {a.value.shape} and {b.value.shape} differ")
-
-
-def _reduce_like(g, operand_value):
-    # Adjoint of the implicit scalar spread in scalar-matrix elementwise ops.
-    if operand_value.size == 1:
-        return np.sum(g).reshape(operand_value.shape)
-    return g
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _need_same_shape("add", a, b)
-
-    def bw(g, node):
-        (ta, tb), (av, bv) = node.inputs, node.saved
-        return (
-            _reduce_like(g, av) if ta.requires_grad else None,
-            _reduce_like(g, bv) if tb.requires_grad else None,
-        )
-
-    return _record("add", (a, b), a.value + b.value, bw, (a.value, b.value))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _need_same_shape("sub", a, b)
-
-    def bw(g, node):
-        (ta, tb), (av, bv) = node.inputs, node.saved
-        return (
-            _reduce_like(g, av) if ta.requires_grad else None,
-            _reduce_like(-g, bv) if tb.requires_grad else None,
-        )
-
-    return _record("sub", (a, b), a.value - b.value, bw, (a.value, b.value))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _need_same_shape("elementwise-mul", a, b)
-
-    def bw(g, node):
-        (ta, tb), (av, bv) = node.inputs, node.saved
-        return (
-            _reduce_like(g * bv, av) if ta.requires_grad else None,
-            _reduce_like(g * av, bv) if tb.requires_grad else None,
-        )
-
-    return _record("elementwise-mul", (a, b), a.value * b.value, bw, (a.value, b.value))
-
-
-def squared_norm(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def bw(g, node):
-        return (2.0 * float(g) * node.saved,)
-
-    return _record("squared-norm", (x,), np.sum(x.value * x.value), bw, x.value)

@@ -222,7 +222,12 @@ def decompose(a: AdjacencyMatrix) -> tuple[PermutationMatrix, UpperTriangularEdg
 
 
 def load_edge_list(path, n: int | None = None) -> AdjacencyMatrix:
-    """Read "u v" lines (1-based, meaning u -> v) into an adjacency matrix."""
+    """Read "u v" lines (1-based, meaning u -> v) into an adjacency matrix.
+
+    A self-loop raises ``ValueError`` naming ``path:line`` and the node; a
+    cycle raises :class:`AcyclicityError` naming ``path`` and the cycle in
+    the file's 1-based ids.
+    """
     pairs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -245,8 +250,15 @@ def load_edge_list(path, n: int | None = None) -> AdjacencyMatrix:
     for lineno, u, v in pairs:
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"{path}:{lineno}: node id out of range 1..{n} in '{u} {v}'")
+        if u == v:
+            raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
         m[v - 1, u - 1] = 1  # u -> v means u is a parent of v
-    return AdjacencyMatrix(m)
+    cycle = find_cycle(m)
+    if cycle is not None:
+        err = AcyclicityError([v + 1 for v in cycle])
+        err.args = (f"{path}: edge list is cyclic, e.g. cycle through nodes {err.cycle}",)
+        raise err
+    return AdjacencyMatrix(m, validate=False)
 
 
 def save_edge_list(a: AdjacencyMatrix, path) -> None:

@@ -7,9 +7,9 @@ doubly-stochastic relaxation (log-space Sinkhorn iteration, projected to a
 hard permutation with an exact assignment solver) and a rank-based
 relaxation (SoftSort of perturbed scores, their descending argsort for the
 hard permutation). Each relaxation runs in numpy and records one tape node
-with its own adjoint. All samplers run noise-free when ``noise is None``,
-which makes them pure functions of their parameters; that mode is what
-evaluation uses.
+with its own adjoint, with the Gumbel noise inside the node's value. All
+samplers run noise-free when ``noise is None``, which makes them pure
+functions of their parameters; that mode is what evaluation uses.
 
 Soft outputs are :class:`~diffdag.autodiff.Tensor` values so gradients flow
 when a tape is active; hard outputs are plain arrays / permutations detached
@@ -241,6 +241,8 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     output does not depend on taping. Under a tape it records one
     ``"sinkhorn"`` node whose adjoint replays the saved iterates in reverse:
     exactly the gradient of the unrolled loop, at whatever round it stopped.
+    A draw records the same node on its unperturbed scores (see
+    :func:`sample_permutation`).
 
     A round's exit is tested at the top of the next round, where the next
     row step's log-sum-exps, the logs of the row sums, are at hand. The
@@ -264,6 +266,12 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     m = m if isinstance(m, Tensor) else Tensor(m)
+    return _sinkhorn(m, m.value, iters, tau, tol)
+
+
+def _sinkhorn(m: Tensor, x: np.ndarray, iters: int, tau: float, tol: float = 1e-6) -> Tensor:
+    """:func:`sinkhorn_operator` of ``x``, recorded on ``m``; ``x`` is
+    ``m.value`` or ``m.value`` plus a constant, so the adjoints agree."""
     # Iterates are kept only when a node will be recorded, as a flat list
     # rows_1, p_1, rows_2, p_2, ...; each is then a fresh array. Untaped, the
     # row and column steps write into work and the exp into p, so a call
@@ -274,7 +282,7 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     # broadcast_to and transposed operands alike, none when both operands
     # are contiguous (n, n). It is the peak's headroom above three arrays.
     saved = [] if ad._active_tape() is not None and m.requires_grad else None
-    work = m.value / tau  # the column step's output, which is never kept
+    work = x / tau  # the column step's output, which is never kept
     e = np.empty_like(work)
     rows_out, p_out = (None, None) if saved is not None else (work, np.empty_like(work))
     n_rows, n_cols = work.shape
@@ -446,7 +454,9 @@ def softsort(s, tau: float = 1.0) -> Tensor:
     caller's own tensor.
 
     The value is computed in numpy; under a tape it records one
-    ``"softsort"`` node with its own adjoint.
+    ``"softsort"`` node with its own adjoint; a draw records the same node
+    on its unperturbed scores (see :func:`sample_permutation`). An empty
+    score vector gives an empty (0, 0) output.
     """
     _check_temperature(tau)
     if not isinstance(s, Tensor):
@@ -454,10 +464,16 @@ def softsort(s, tau: float = 1.0) -> Tensor:
         s = Tensor(s.reshape(-1, 1) if s.ndim == 1 else s)
     if s.value.ndim != 2 or s.value.shape[1] != 1:
         raise ad.DimensionError(f"softsort: scores must be an (n, 1) column, got shape {s.value.shape}")
-    order = np.argsort(-s.value.ravel(), kind="stable")
-    diff = s.value[order] - s.value.T  # row i: the i-th largest score minus every score
+    return _softsort(s, s.value, tau)
+
+
+def _softsort(s: Tensor, v: np.ndarray, tau: float) -> Tensor:
+    """:func:`softsort` of the (n, 1) column ``v``, recorded on ``s``; ``v``
+    is ``s.value`` or ``s.value`` plus a constant, so the adjoints agree."""
+    order = np.argsort(-v.ravel(), kind="stable")
+    diff = v[order] - v.T  # row i: the i-th largest score minus every score
     x = np.abs(diff) * (-1.0 / tau)
-    e = np.exp(x - x.max(axis=1, keepdims=True))
+    e = np.exp(x - x.max(axis=1, keepdims=True, initial=-np.inf))
     p = e / e.sum(axis=1, keepdims=True)
 
     def bw(g, node):
@@ -495,22 +511,30 @@ def sample_permutation(
     argmax only when neighbouring scores differ by well over ``1e-16 * tau``
     (see :func:`softsort`); closer scores tie in the soft matrix, while the
     hard draw still breaks the tie by the stable argsort.
+
+    Under a tape the draw records one ``"sinkhorn"`` or ``"softsort"`` node
+    on ``params.scores``, whose value is computed from ``scores + Gumbel``:
+    the noise is a constant, so no node is recorded for adding it.
     """
-    scores = params.scores
-    if noise is not None:
-        scores = ad.add(scores, Tensor(noise.gumbel(scores.value.shape)))
+    x = _perturbed_scores(params, noise)
     if params.mode == SINKHORN:
-        soft = sinkhorn_operator(scores, iters=params.sinkhorn_iters, tau=params.temperature)
+        soft = _sinkhorn(params.scores, x, params.sinkhorn_iters, params.temperature)
         return hungarian(soft.value), soft
-    return _rank_permutation(scores.value), softsort(scores, tau=params.temperature)
+    return _rank_permutation(x), _softsort(params.scores, x, params.temperature)
+
+
+def _perturbed_scores(params: PermutationParams, noise: GumbelSource | None) -> np.ndarray:
+    """``scores + Gumbel``, or the scores themselves without noise: the
+    relaxation's input, read-only."""
+    if noise is None:
+        return params.scores.value
+    return params.scores.value + noise.gumbel(params.scores.value.shape)
 
 
 def _hard_permutation(params: PermutationParams, noise: GumbelSource | None = None) -> PermutationMatrix:
     """The hard draw of :func:`sample_permutation` alone: the same noise and
     arithmetic, no soft output and no tape node."""
-    scores = params.scores.value
-    if noise is not None:
-        scores = scores + noise.gumbel(scores.shape)
+    x = _perturbed_scores(params, noise)
     if params.mode == SINKHORN:
-        return hungarian(sinkhorn_operator(scores, iters=params.sinkhorn_iters, tau=params.temperature).value)
-    return _rank_permutation(scores)
+        return hungarian(sinkhorn_operator(x, iters=params.sinkhorn_iters, tau=params.temperature).value)
+    return _rank_permutation(x)

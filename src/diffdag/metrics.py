@@ -142,7 +142,12 @@ def perturbation_confidence(
     Each trial moves k random true edges to random vacant off-diagonal cells
     and sums the model's directed scores over the perturbed edge set, divided
     by the sum over the true edge set. Returns (mean, sd) over trials.
+    ``k_moved`` must be an integer >= 0 and ``trials`` one >= 1; either
+    raises ``ValueError`` naming it before any work otherwise.
     """
+    for name, v, least in (("k_moved", k_moved, 0), ("trials", trials, 1)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
     edges = np.argwhere(truth.entries == 1)
     if k_moved > edges.shape[0]:
         raise ValueError(f"cannot move {k_moved} edges, graph has {edges.shape[0]}")

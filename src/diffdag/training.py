@@ -312,19 +312,41 @@ def elbo_loss(
     noise: GumbelSource | None,
     relaxed: bool = False,
 ) -> Tensor:
-    """Negative ELBO for one minibatch; differentiable w.r.t. all parameters."""
+    """Negative ELBO for one minibatch; differentiable w.r.t. all parameters.
+    Under a tape it records the draw's four nodes, ``"kl"`` (none at ``lam =
+    0``), ``"mechanisms"`` and ``"loss"``."""
     sample = sample_dag_parts(model, noise, relaxed=relaxed)
-    loss = _reconstruction_loss(batch, mechanisms, sample.soft)
-    if cfg.lam > 0:
-        loss = ad.add(loss, ad.mul(_kl_term(model, sample.mask, cfg.prior_p), Tensor(cfg.lam)))
-    return loss
+    kl = _kl_term(model, sample.mask, cfg.prior_p) if cfg.lam > 0 else None
+    return _reconstruction_loss(batch, mechanisms, sample.soft, kl, cfg.lam)
 
 
-def _reconstruction_loss(batch: np.ndarray, mechanisms: MechanismNet, mask: Tensor) -> Tensor:
-    """Mean over rows of sum_i (x_i - f_i(mask_i * x))^2, taped."""
+def _reconstruction_loss(
+    batch: np.ndarray, mechanisms: MechanismNet, mask: Tensor, penalty: Tensor | None = None, lam: float = 0.0
+) -> Tensor:
+    """Mean over rows of sum_i (x_i - f_i(mask_i * x))^2, plus ``lam *
+    penalty`` when a penalty is given, taped."""
     x = Tensor(batch)
-    xhat = mechanisms.forward_all(x, mask)
-    return ad.mul(ad.squared_norm(ad.sub(x, xhat)), Tensor(1.0 / batch.shape[0]))
+    return _loss(x, mechanisms.forward_all(x, mask), 1.0 / batch.shape[0], penalty, lam)
+
+
+def _loss(a: Tensor, b: Tensor, scale: float, penalty: Tensor | None = None, lam: float = 0.0) -> Tensor:
+    """``||a - b||^2 * scale``, plus ``penalty * lam`` when a penalty is
+    given, as one ``"loss"`` node. Its arithmetic is that of the op chain it
+    replaced, in the same order, so seeded fits stay bit-identical; callers
+    keep that chain's operand order, as ``a - b`` fixes the difference's
+    memory layout and with it ``np.sum``'s order."""
+    d = a.value - b.value
+    value = np.sum(d * d) * scale
+    if penalty is not None:
+        value = value + penalty.value * lam
+
+    def bw(g, node):
+        ta, tb = node.inputs[:2]
+        t = 2.0 * float(g * scale) * node.saved
+        return (t if ta.requires_grad else None, -t if tb.requires_grad else None, g * lam)
+
+    inputs = (a, b) if penalty is None else (a, b, penalty)
+    return ad._record("loss", inputs, value, bw, d)
 
 
 def validation_loss(
@@ -489,11 +511,11 @@ def fit_direct(
     noise = GumbelSource(seed)
     target = Tensor(truth.entries.astype(np.float64))
     opt = Adam(model.parameters(), lr=lr)
-    scale = Tensor(1.0 / (model.n * model.n))
+    scale = 1.0 / (model.n * model.n)
 
     def loss_fn(target: Tensor) -> Tensor:
         _, soft = sample_dag(model, noise)
-        return ad.mul(ad.squared_norm(ad.sub(soft, target)), scale)
+        return _loss(soft, target, scale)
 
     for step in range(steps):
         _step(opt, loss_fn, target, step, 0)

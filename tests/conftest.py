@@ -18,13 +18,56 @@ def pytest_report_header(config):
 
 
 # Test-local tape ops that the library no longer needs: a sum readout for
-# turning any tensor into a scalar loss, and matrix product and transpose for
-# reference chains. Each records one node as the library's own ops do.
+# turning any tensor into a scalar loss, elementwise add, sub and mul, a
+# squared norm, and matrix product and transpose for reference chains. Each
+# records one node as the library's own ops do.
 
 
 def tsum(x):
     """Sum of every entry, as a scalar tensor; its adjoint spreads ``g``."""
     return ad._record("sum", (x,), np.sum(x.value), lambda g, node: (np.full(node.saved, float(g)),), x.value.shape)
+
+
+def _elementwise(kind, a, b, value, ga, gb):
+    """One node for an elementwise op on equal shapes, or on a scalar and
+    anything; ``ga(g, av, bv)`` and ``gb`` are its partial adjoints before a
+    scalar operand's spread is summed back."""
+    a, b = (x if isinstance(x, Tensor) else Tensor(x) for x in (a, b))
+    if a.value.shape != b.value.shape and a.value.size != 1 and b.value.size != 1:
+        raise ad.DimensionError(f"{kind}: shapes {a.value.shape} and {b.value.shape} differ")
+
+    def reduce_like(g, v):
+        return np.sum(g).reshape(v.shape) if v.size == 1 else g
+
+    def bw(g, node):
+        (ta, tb), (av, bv) = node.inputs, node.saved
+        return (
+            reduce_like(ga(g, av, bv), av) if ta.requires_grad else None,
+            reduce_like(gb(g, av, bv), bv) if tb.requires_grad else None,
+        )
+
+    return ad._record(kind, (a, b), value(a.value, b.value), bw, (a.value, b.value))
+
+
+def add(a, b):
+    """``a + b``; its adjoint hands ``g`` itself to both operands."""
+    return _elementwise("add", a, b, np.add, lambda g, av, bv: g, lambda g, av, bv: g)
+
+
+def sub(a, b):
+    """``a - b``; its adjoint hands ``g`` itself to ``a``."""
+    return _elementwise("sub", a, b, np.subtract, lambda g, av, bv: g, lambda g, av, bv: -g)
+
+
+def mul(a, b):
+    """Elementwise ``a * b``."""
+    return _elementwise("elementwise-mul", a, b, np.multiply, lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
+
+
+def squared_norm(x):
+    """Sum of squared entries, as a scalar tensor."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    return ad._record("squared-norm", (x,), np.sum(x.value * x.value), lambda g, node: (2.0 * float(g) * node.saved,), x.value)
 
 
 def matmul(a, b):

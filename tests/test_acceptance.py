@@ -13,8 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, auc_pr_oracle, auc_roc_oracle, bernoulli_kl, enumerate_dags, tsum
-from diffdag import autodiff as ad
+from conftest import add, assert_grads_close, auc_pr_oracle, auc_roc_oracle, bernoulli_kl, enumerate_dags, mul, squared_norm, sub, tsum
 from diffdag.autodiff import Tensor
 from diffdag.graphs import AdjacencyMatrix, PermutationMatrix, compose, decompose, is_acyclic
 from diffdag.gumbel import (
@@ -43,6 +42,7 @@ from diffdag.training import (
     MechanismNet,
     TrainConfig,
     _kl_term,
+    _loss,
     elbo_loss,
     fit,
     fit_direct,
@@ -312,22 +312,24 @@ class TestCriterion6GradientChecks:
         perm = Tensor(rng.uniform(0, 1, (4, 4)), requires_grad=True)
         edges = Tensor(rng.uniform(0, 1, (4, 4)), requires_grad=True)
         cases = [
-            ("add", lambda: tsum(ad.mul(ad.add(x, y), y)), [x, y]),
-            ("sub", lambda: tsum(ad.mul(ad.sub(x, y), x)), [x, y]),
-            ("elementwise-mul", lambda: ad.squared_norm(ad.mul(x, y)), [x, y]),
-            ("scalar-mix", lambda: tsum(ad.mul(ad.add(x, s), y)), [x, s]),
-            ("squared-norm", lambda: ad.squared_norm(x), [x]),
+            ("add", lambda: tsum(mul(add(x, y), y)), [x, y]),
+            ("sub", lambda: tsum(mul(sub(x, y), x)), [x, y]),
+            ("elementwise-mul", lambda: squared_norm(mul(x, y)), [x, y]),
+            ("scalar-mix", lambda: tsum(mul(add(x, s), y)), [x, s]),
+            ("squared-norm", lambda: squared_norm(x), [x]),
             (
                 "mechanisms",
-                lambda: tsum(ad.mul(mech.forward_all(batch, soft_mask), w34)),
+                lambda: tsum(mul(mech.forward_all(batch, soft_mask), w34)),
                 mech.parameters() + [soft_mask],
             ),
-            ("sinkhorn", lambda: tsum(ad.mul(sinkhorn_operator(sq, iters=8, tol=0.0), w44)), [sq]),
-            ("softsort", lambda: tsum(ad.mul(softsort(scores, tau=0.5), w44)), [scores]),
-            ("edges", lambda: tsum(ad.mul(sample_edges(model.edge_params, GumbelSource(3))[1], w44)), [logits]),
-            ("order-mask", lambda: tsum(ad.mul(_order_mask_node(perm, None)[0], w44)), [perm]),
-            ("dag", lambda: tsum(ad.mul(_dag_node(edges, soft_mask, soft_mask.value, None), w44)), [edges, soft_mask]),
+            ("sinkhorn", lambda: tsum(mul(sinkhorn_operator(sq, iters=8, tol=0.0), w44)), [sq]),
+            ("softsort", lambda: tsum(mul(softsort(scores, tau=0.5), w44)), [scores]),
+            ("edges", lambda: tsum(mul(sample_edges(model.edge_params, GumbelSource(3))[1], w44)), [logits]),
+            ("order-mask", lambda: tsum(mul(_order_mask_node(perm, None)[0], w44)), [perm]),
+            ("dag", lambda: tsum(mul(_dag_node(edges, soft_mask, soft_mask.value, None), w44)), [edges, soft_mask]),
             ("kl", lambda: _kl_term(model, soft_mask, 0.05), [logits, soft_mask]),
+            ("loss", lambda: _loss(x, y, 0.3), [x, y]),
+            ("loss with a penalty", lambda: _loss(x, y, 0.3, s, 0.7), [x, y, s]),
         ]
         failures = []
         for name, build, params in cases:

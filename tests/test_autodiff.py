@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grads_close, matmul, transpose, tsum
-from diffdag import autodiff as ad
+from conftest import add, assert_grads_close, matmul, mul, squared_norm, sub, transpose, tsum
 from diffdag.autodiff import DimensionError, Tape, Tensor
 from diffdag.model import _dag_node
 
@@ -38,8 +37,8 @@ def _reference_backward(tape: Tape, loss: Tensor) -> None:
 
 # Random op graphs over 3x3 matrices and scalars. Operands are picked from
 # everything built so far, so tensors fan out, and graphs mix leaves with
-# constants. The ops that hand their incoming gradient on unchanged (add,
-# sub's first operand) or a view of it (the test-local transpose) are the
+# constants. The test-local ops that hand their incoming gradient on
+# unchanged (add, sub's first operand) or a view of it (transpose) are the
 # ones whose borrowed buffers the engine must never write to.
 _GRAPH_OPS = ("add", "sub", "mul", "matmul", "transpose")
 
@@ -53,7 +52,7 @@ def _build_graph(values, requires, scalars, ops):
     for op, i, j, flip in ops:
         a, b = mats[i % len(mats)], mats[j % len(mats)]
         if op in ("add", "sub", "mul"):
-            fn = {"add": ad.add, "sub": ad.sub, "mul": ad.mul}[op]
+            fn = {"add": add, "sub": sub, "mul": mul}[op]
             if j % 3 == 0:  # a scalar operand, on either side
                 b = svals[j % 2]
             out = fn(b, a) if flip else fn(a, b)
@@ -64,7 +63,7 @@ def _build_graph(values, requires, scalars, ops):
         mats.append(out)
         outputs.append(out)
     w = Tensor(np.linspace(-1.0, 1.0, 9).reshape(3, 3))
-    return tsum(ad.mul(mats[-1], w)), leaves, outputs
+    return tsum(mul(mats[-1], w)), leaves, outputs
 
 
 def _grad_bytes(t: Tensor):
@@ -108,8 +107,8 @@ class TestBackwardEngine:
     def test_intermediates_get_no_grad(self, rng):
         w = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
         with Tape() as tape:
-            h = ad.add(matmul(w, w), w)
-            loss = ad.squared_norm(h)
+            h = add(matmul(w, w), w)
+            loss = squared_norm(h)
         tape.backward(loss)
         assert w.grad is not None and h.grad is None and loss.grad is None
 
@@ -118,7 +117,7 @@ class TestBackwardEngine:
         x = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
         y = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
         with Tape() as tape:
-            loss = tsum(ad.mul(ad.add(x, y), Tensor(rng.uniform(-1, 1, (2, 2)))))
+            loss = tsum(mul(add(x, y), Tensor(rng.uniform(-1, 1, (2, 2)))))
         tape.backward(loss)
         assert not np.shares_memory(x.grad, y.grad)
 
@@ -128,12 +127,12 @@ class TestBackwardEngine:
         cases = [
             (lambda: _dag_node(c, w, c.value, None), 0),
             (lambda: _dag_node(w, c, c.value, None), 1),
-            (lambda: ad.mul(c, w), 0),
-            (lambda: ad.sub(w, c), 1),
-            (lambda: ad.sub(c, w), 0),
-            (lambda: ad.add(w, c), 1),
-            (lambda: ad.add(c, w), 0),
-            (lambda: ad.add(w, Tensor(0.5)), 1),
+            (lambda: mul(c, w), 0),
+            (lambda: sub(w, c), 1),
+            (lambda: sub(c, w), 0),
+            (lambda: add(w, c), 1),
+            (lambda: add(c, w), 0),
+            (lambda: add(w, Tensor(0.5)), 1),
         ]
         for build, const in cases:
             with Tape() as tape:
@@ -145,21 +144,21 @@ class TestBackwardEngine:
 
 class TestForwardValues:
     def test_squared_norm(self):
-        assert ad.squared_norm(Tensor([3.0, 4.0])).value == 25.0
+        assert squared_norm(Tensor([3.0, 4.0])).value == 25.0
 
 
 class TestBackwardExamples:
     def test_squared_norm_gradient(self):
         x = Tensor([3.0, 4.0], requires_grad=True)
         with Tape() as tape:
-            loss = ad.squared_norm(x)
+            loss = squared_norm(x)
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [6.0, 8.0])
 
     def test_fanout_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
-            loss = tsum(ad.add(x, x))
+            loss = tsum(add(x, x))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0])
 
@@ -176,7 +175,7 @@ class TestBackwardExamples:
     def test_backward_requires_scalar(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         with Tape() as tape:
-            y = ad.add(x, x)
+            y = add(x, x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
@@ -189,7 +188,7 @@ class TestBackwardExamples:
             a = Tensor(a_val, requires_grad=True)
             b = Tensor(b_val, requires_grad=True)
             with Tape() as tape:
-                loss = ad.squared_norm(ad.mul(matmul(a, b), b))
+                loss = squared_norm(mul(matmul(a, b), b))
             tape.backward(loss)
             return a.grad.copy(), b.grad.copy()
 
@@ -201,7 +200,7 @@ class TestBackwardExamples:
 class TestShapeErrors:
     def test_add_mismatch(self):
         with pytest.raises(DimensionError, match="add"):
-            ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+            add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
     def test_rank_four_rejected(self):
         with pytest.raises(DimensionError):
@@ -214,15 +213,15 @@ class TestGradChecks:
     def test_binary_ops(self, rng):
         a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        assert_grads_close(lambda: tsum(ad.mul(ad.add(a, b), b)), [a, b])
-        assert_grads_close(lambda: tsum(ad.mul(ad.sub(a, b), a)), [a, b])
+        assert_grads_close(lambda: tsum(mul(add(a, b), b)), [a, b])
+        assert_grads_close(lambda: tsum(mul(sub(a, b), a)), [a, b])
 
     def test_scalar_operand(self, rng):
         a = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
         s = Tensor(0.7, requires_grad=True)
-        assert_grads_close(lambda: tsum(ad.mul(ad.add(a, s), a)), [a, s])
-        assert_grads_close(lambda: ad.squared_norm(ad.mul(a, s)), [a, s])
+        assert_grads_close(lambda: tsum(mul(add(a, s), a)), [a, s])
+        assert_grads_close(lambda: squared_norm(mul(a, s)), [a, s])
 
     def test_unary_ops(self, rng):
         x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        assert_grads_close(lambda: ad.squared_norm(x), [x])
+        assert_grads_close(lambda: squared_norm(x), [x])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,3 +221,18 @@ class TestEdgeListIO:
         path.write_text("1 5\n")
         with pytest.raises(ValueError, match="out of range"):
             load_edge_list(path, n=3)
+
+    def test_self_loop_names_the_line_and_node(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("1 2\n# a comment\n3 3\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: self-loop on node 3$"):
+            load_edge_list(path)
+
+    def test_cycle_names_the_file_and_its_ids(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("1 2\n2 3\n3 2\n")
+        with pytest.raises(AcyclicityError, match=re.escape(f"{path}: edge list is cyclic")) as info:
+            load_edge_list(path)
+        assert info.value.cycle == [2, 3, 2]
+        assert str(info.value).endswith("[2, 3, 2]")
+

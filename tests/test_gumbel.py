@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_grads_close, matmul, transpose, tsum
+from conftest import assert_grads_close, matmul, mul, sub, transpose, tsum
 from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
 from diffdag.graphs import PermutationMatrix, compose, is_acyclic, UpperTriangularEdges
@@ -164,7 +164,7 @@ class TestSinkhorn:
     def test_gradient_flows(self, rng):
         m = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 4)))
-        assert_grads_close(lambda: tsum(ad.mul(sinkhorn_operator(m, iters=8, tol=0.0), w)), [m], rtol=1e-4)
+        assert_grads_close(lambda: tsum(mul(sinkhorn_operator(m, iters=8, tol=0.0), w)), [m], rtol=1e-4)
 
 
 def _unrolled_sinkhorn(m, iters, tau, tol):
@@ -178,11 +178,11 @@ def _unrolled_sinkhorn(m, iters, tau, tol):
     n_rows, n_cols = m.value.shape
     ones_row = Tensor(np.ones((1, n_cols)))
     ones_col = Tensor(np.ones((1, n_rows)))
-    log_p = ad.mul(m, Tensor(1.0 / tau))
+    log_p = mul(m, Tensor(1.0 / tau))
     for _ in range(iters):
-        log_p = ad.sub(log_p, matmul(logsumexp_rows(log_p), ones_row))
+        log_p = sub(log_p, matmul(logsumexp_rows(log_p), ones_row))
         cols = transpose(log_p)
-        cols = ad.sub(cols, matmul(logsumexp_rows(cols), ones_col))
+        cols = sub(cols, matmul(logsumexp_rows(cols), ones_col))
         log_p = transpose(cols)
         p = np.exp(log_p.value)
         dev = max(np.abs(p.sum(axis=1) - 1.0).max(), np.abs(p.sum(axis=0) - 1.0).max())
@@ -195,7 +195,7 @@ def _unrolled_sinkhorn(m, iters, tau, tol):
 def _sinkhorn_grad(op, m_value, w, **kw):
     m = Tensor(m_value, requires_grad=True)
     with Tape() as tape:
-        loss = tsum(ad.mul(op(m, **kw), Tensor(w)))
+        loss = tsum(mul(op(m, **kw), Tensor(w)))
     tape.backward(loss)
     return m.grad
 
@@ -427,7 +427,7 @@ class TestSinkhornOp:
         m = Tensor(scores, requires_grad=True)
         with Tape() as tape:
             p = sinkhorn_operator(m, iters=20)
-            loss = tsum(ad.mul(p, Tensor(w)))
+            loss = tsum(mul(p, Tensor(w)))
         tape.backward(loss)
         assert np.isfinite(p.value).all() and np.isfinite(m.grad).all()
         assert np.abs(p.value.sum(axis=0) - 1.0).max() <= 1e-9
@@ -626,6 +626,9 @@ class TestHungarian:
 
 
 class TestSoftSort:
+    def test_empty_scores_give_an_empty_matrix(self):
+        assert softsort(np.zeros(0)).value.shape == (0, 0)
+
     def test_rows_sum_to_one(self, rng):
         s = softsort(rng.uniform(-3, 3, 9), tau=0.7).value
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
@@ -650,7 +653,7 @@ class TestSoftSort:
         v = rng.uniform(-2, 2, 5)
         w = Tensor(rng.uniform(-1, 1, (5, 5)))
         col = Tensor(v.reshape(-1, 1), requires_grad=True)
-        assert_grads_close(lambda: tsum(ad.mul(softsort(col, tau=0.5), w)), [col])
+        assert_grads_close(lambda: tsum(mul(softsort(col, tau=0.5), w)), [col])
         flat = Tensor(v, requires_grad=True)
         with Tape(), pytest.raises(ad.DimensionError, match="softsort"):
             softsort(flat)
@@ -754,7 +757,7 @@ class TestStraightThroughWiring:
 
         def build():
             _, soft = sample_edges(params, GumbelSource(21))
-            return tsum(ad.mul(soft, w))
+            return tsum(mul(soft, w))
 
         assert_grads_close(build, [params.logits], rtol=1e-3)
 
@@ -764,7 +767,7 @@ class TestStraightThroughWiring:
 
         def build():
             _, soft = sample_permutation(params, GumbelSource(22))
-            return tsum(ad.mul(soft, w))
+            return tsum(mul(soft, w))
 
         assert_grads_close(build, [params.scores], rtol=1e-3)
 
@@ -774,6 +777,6 @@ class TestStraightThroughWiring:
 
         def build():
             _, soft = sample_permutation(params, GumbelSource(23))
-            return tsum(ad.mul(soft, w))
+            return tsum(mul(soft, w))
 
         assert_grads_close(build, [params.scores], rtol=1e-3)

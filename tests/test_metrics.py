@@ -125,6 +125,22 @@ class TestPerturbationConfidence:
             means.append(mean)
         assert all(abs(m - 1.0) < 0.3 for m in means)
 
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            ({"trials": 0}, "trials"),
+            ({"trials": -2}, "trials"),
+            ({"trials": 2.0}, "trials"),
+            ({"k_moved": -1}, "k_moved"),
+            ({"k_moved": 1.5}, "k_moved"),
+            ({"k_moved": True}, "k_moved"),
+        ],
+    )
+    def test_bad_count_names_the_argument(self, kw, name):
+        args = {"k_moved": 1, "trials": 3, **kw}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {0 if name == 'k_moved' else 1}, got"):
+            perturbation_confidence(uniform_model(10), self.truth(), **args)
+
     def test_k_larger_than_edges_rejected(self):
         with pytest.raises(ValueError, match="cannot move"):
             perturbation_confidence(uniform_model(10), self.truth(), k_moved=99)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import analytic_grads, enumerate_dags, tsum
+from conftest import add, analytic_grads, enumerate_dags, mul, tsum
 from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
 from diffdag.graphs import AdjacencyMatrix, is_acyclic
@@ -46,7 +46,7 @@ class TestSampleDag:
         hard, _ = sample_dag(model, GumbelSource(0))
         assert hard.edge_count() == n * (n - 1) // 2
 
-    @pytest.mark.parametrize("mode, taped", [(SINKHORN, False), (SINKHORN, True), (TOPK, False)])
+    @pytest.mark.parametrize("mode, taped", [(SINKHORN, False), (SINKHORN, True), (TOPK, False), (TOPK, True)])
     def test_model_with_no_nodes_draws_the_empty_dag(self, mode, taped):
         model = DpDagModel.create(0, perm_mode=mode)
         with Tape() if taped else contextlib.nullcontext():
@@ -97,7 +97,7 @@ class TestSampleDag:
             w = ad.Tensor(rng.normal(size=(5, 5)))
             with Tape() as tape:
                 _, soft = sample_dag(model, GumbelSource(1))
-                loss = tsum(ad.mul(soft, w))
+                loss = tsum(mul(soft, w))
             tape.backward(loss)
             assert model.edge_params.logits.grad is not None
             assert np.abs(model.edge_params.logits.grad).max() > 0
@@ -117,7 +117,7 @@ class TestSampleDag:
             def build():
                 s = sample_dag_parts(model, GumbelSource(3), relaxed=relaxed)
                 samples.append(s)
-                return ad.add(tsum(ad.mul(s.soft, w_adj)), tsum(ad.mul(s.mask, w_mask)))
+                return add(tsum(mul(s.soft, w_adj)), tsum(mul(s.mask, w_mask)))
 
             grads.append(analytic_grads(build, model.parameters()))
         hard, smooth = samples

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import analytic_grads, bernoulli_kl, numeric_grads, tsum
+from conftest import add, analytic_grads, bernoulli_kl, mul, numeric_grads, squared_norm, tsum
 from diffdag import autodiff as ad
 from diffdag import gumbel
 from diffdag.autodiff import Tape, Tensor
@@ -215,33 +215,53 @@ class TestKlFromLogits:
 
 
 class TestTapeNodes:
-    """One node per operation of the model: a training step records 12."""
+    """One node per operation of the model: a training step records 7."""
 
-    @pytest.mark.parametrize("mode, relaxation", [(SINKHORN, "sinkhorn"), (TOPK, "softsort")])
-    def test_elbo_step(self, mode, relaxation):
+    @staticmethod
+    def _elbo_kinds(mode, lam):
         ds = tiny_dataset()
-        cfg = tiny_cfg(perm_mode=mode)
+        cfg = tiny_cfg(perm_mode=mode, lam=lam)
         model = DpDagModel.create(ds.n, perm_mode=mode)
         mech = MechanismNet(ds.n, cfg.hidden, np.random.default_rng(0))
         with Tape() as tape:
             elbo_loss(ds.train_X()[:16], model, mech, cfg, GumbelSource(0))
-        draw = ["add", relaxation, "edges", "order-mask", "dag"]
-        reconstruction = ["mechanisms", "sub", "squared-norm", "elementwise-mul"]
-        assert [node.kind for node in tape.nodes] == draw + reconstruction + ["kl", "elementwise-mul", "add"]
+        return [node.kind for node in tape.nodes]
+
+    @pytest.mark.parametrize("mode, relaxation", [(SINKHORN, "sinkhorn"), (TOPK, "softsort")])
+    def test_elbo_step(self, mode, relaxation):
+        draw = [relaxation, "edges", "order-mask", "dag"]
+        assert self._elbo_kinds(mode, 0.05) == draw + ["kl", "mechanisms", "loss"]
+
+    @pytest.mark.parametrize("mode, relaxation", [(SINKHORN, "sinkhorn"), (TOPK, "softsort")])
+    def test_lambda_zero_step(self, mode, relaxation):
+        draw = [relaxation, "edges", "order-mask", "dag"]
+        assert self._elbo_kinds(mode, 0.0) == draw + ["mechanisms", "loss"]
+
+    def test_oracle_step(self, monkeypatch):
+        kinds = _recorded_kinds(monkeypatch)
+        ds = tiny_dataset()
+        fit(ds, tiny_cfg(max_epochs=2, val_check_every=2, batch_size=ds.splits.train.size), fixed_adjacency=ds.truth)
+        assert kinds == [["mechanisms", "loss"]] * 2
 
     @pytest.mark.parametrize("mode, relaxation", [(SINKHORN, "sinkhorn"), (TOPK, "softsort")])
     def test_fit_direct_step(self, mode, relaxation, monkeypatch):
-        kinds = []
-        backward = Tape.backward
-
-        def recording(tape, loss):
-            kinds.append([node.kind for node in tape.nodes])
-            return backward(tape, loss)
-
-        monkeypatch.setattr(Tape, "backward", recording)
+        kinds = _recorded_kinds(monkeypatch)
         truth = AdjacencyMatrix(np.triu(np.ones((4, 4), dtype=np.int8), 1))
         fit_direct(truth, DpDagModel.create(4, perm_mode=mode), steps=1)
-        assert kinds == [["add", relaxation, "edges", "order-mask", "dag", "sub", "squared-norm", "elementwise-mul"]]
+        assert kinds == [[relaxation, "edges", "order-mask", "dag", "loss"]]
+
+
+def _recorded_kinds(monkeypatch) -> list[list[str]]:
+    """The node kinds of every tape that ``Tape.backward`` runs from now on."""
+    kinds = []
+    backward = Tape.backward
+
+    def recording(tape, loss):
+        kinds.append([node.kind for node in tape.nodes])
+        return backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", recording)
+    return kinds
 
 
 class TestElboLoss:
@@ -726,7 +746,7 @@ class TestStackedMechanisms:
             pick = np.zeros((16, n))
             pick[:, j] = rng.normal(size=16)
             grads = analytic_grads(
-                lambda: tsum(ad.mul(mech.forward_all(x, mask), Tensor(pick))), mech.parameters() + [mask]
+                lambda: tsum(mul(mech.forward_all(x, mask), Tensor(pick))), mech.parameters() + [mask]
             )
             for (p, idx), g in zip(node_blocks(mech, j), grads):
                 outside = g.copy()
@@ -789,7 +809,7 @@ class TestAdam:
         opt = Adam([p, s], lr=0.1)
         for _ in range(300):
             with Tape() as tape:
-                loss = ad.add(ad.squared_norm(p), ad.squared_norm(s))
+                loss = add(squared_norm(p), squared_norm(s))
             tape.backward(loss)
             opt.step()
             opt.zero_grad()
