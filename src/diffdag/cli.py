@@ -200,6 +200,9 @@ def cmd_eval(args) -> int:
     if "mechanisms" not in extras:
         raise ValueError(f"{args.checkpoint} carries no mechanism weights; train first")
     mechanisms = MechanismNet.from_state(extras["mechanisms"])
+    for what, n in (("model", model.n), ("mechanisms", mechanisms.n)):
+        if n != dataset.n:
+            raise ValueError(f"node counts differ: {args.checkpoint} {what} has {n}, {dataset.name} has {dataset.n}")
     gt_dag = bool(extras.get("gt_dag"))
     row: dict = {"dataset": dataset.name, "seed": extras.get("train_config", {}).get("seed")}
     if gt_dag:

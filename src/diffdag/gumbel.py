@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from ._checks import check_count, check_scale
 from .autodiff import Tensor
 from .graphs import PermutationMatrix
 
@@ -52,20 +53,16 @@ class ParameterError(ValueError):
     """Invalid sampler parameterization (temperature, mode, shapes)."""
 
 
-def _check_temperature(tau) -> None:
-    # math.isfinite also rejects NaN, which passes a bare tau <= 0 check
-    if not (math.isfinite(tau) and tau > 0):
-        raise ParameterError(f"temperature must be finite and positive, got {tau}")
-
-
 class GumbelSource:
     """Stream of standard Gumbel(0, 1) noise from a counter-based generator.
 
     Independent callers must use independent sources (distinct seeds); one
-    source is not safe to share across threads.
+    source is not safe to share across threads. A ``seed`` that is not an
+    integer >= 0 raises ``ParameterError``.
     """
 
     def __init__(self, seed: int):
+        check_count("seed", seed, 0, ParameterError)
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
@@ -92,13 +89,14 @@ class EdgeParams:
     temperature: float = 1.0
 
     def __post_init__(self):
+        check_count("n", self.n, 0, ParameterError)
+        check_scale("temperature", self.temperature, ParameterError)
         if self.logits is None:
             self.logits = Tensor(np.zeros((self.n, self.n)), requires_grad=True)
         elif not isinstance(self.logits, Tensor):
             self.logits = Tensor(np.asarray(self.logits, dtype=np.float64), requires_grad=True)
         if self.logits.value.shape != (self.n, self.n):
             raise ParameterError(f"edge logits must be {self.n}x{self.n}, got {self.logits.value.shape}")
-        _check_temperature(self.temperature)
 
     def probabilities(self) -> np.ndarray:
         """sigmoid(logits): the implied per-pair edge probabilities."""
@@ -123,6 +121,9 @@ class PermutationParams:
     sinkhorn_iters: int = 20
 
     def __post_init__(self):
+        check_count("n", self.n, 0, ParameterError)
+        check_scale("temperature", self.temperature, ParameterError)
+        check_count("sinkhorn_iters", self.sinkhorn_iters, 1, ParameterError)
         if self.mode not in (SINKHORN, TOPK):
             raise ParameterError(f"mode must be {SINKHORN!r} or {TOPK!r}, got {self.mode!r}")
         want = (self.n, self.n) if self.mode == SINKHORN else (self.n, 1)
@@ -137,9 +138,6 @@ class PermutationParams:
             raise ParameterError(
                 f"{self.mode} scores must have shape {want}, got {self.scores.value.shape}"
             )
-        _check_temperature(self.temperature)
-        if self.sinkhorn_iters < 1:
-            raise ParameterError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
 
 
 def _lse_into(a: np.ndarray, axis: int, top: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -262,9 +260,8 @@ def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) 
     fresh row iterate and its ``exp``, the adjoint's operands. A matrix with
     no entries runs no round and comes back as an empty output.
     """
-    _check_temperature(tau)
-    if iters < 1:
-        raise ParameterError(f"iters must be >= 1, got {iters}")
+    check_scale("tau", tau, ParameterError)
+    check_count("iters", iters, 1, ParameterError)
     m = m if isinstance(m, Tensor) else Tensor(m)
     return _sinkhorn(m, m.value, iters, tau, tol)
 
@@ -458,7 +455,7 @@ def softsort(s, tau: float = 1.0) -> Tensor:
     on its unperturbed scores (see :func:`sample_permutation`). An empty
     score vector gives an empty (0, 0) output.
     """
-    _check_temperature(tau)
+    check_scale("tau", tau, ParameterError)
     if not isinstance(s, Tensor):
         s = np.asarray(s, dtype=np.float64)
         s = Tensor(s.reshape(-1, 1) if s.ndim == 1 else s)

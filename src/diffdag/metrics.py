@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from ._checks import check_count
 from .graphs import AdjacencyMatrix
 from .gumbel import GumbelSource
 from .model import DpDagModel, edge_scores, sample_dag
@@ -93,8 +94,15 @@ def undirected_pairs(score_matrix: np.ndarray, truth: AdjacencyMatrix):
     return scores, labels
 
 
+def _check_nodes(model: DpDagModel, truth: AdjacencyMatrix) -> None:
+    if model.n != truth.n:
+        raise ValueError(f"node counts differ: model has {model.n}, truth has {truth.n}")
+
+
 def structure_aucs(model: DpDagModel, truth: AdjacencyMatrix) -> dict:
-    """The four threshold-free structure numbers for a trained model."""
+    """The four threshold-free structure numbers for a trained model; a
+    ``truth`` on another number of nodes raises ``ValueError``."""
+    _check_nodes(model, truth)
     directed, _ = edge_scores(model)
     ds, dl = directed_pairs(directed, truth)
     us, ul = undirected_pairs(directed, truth)
@@ -142,17 +150,22 @@ def perturbation_confidence(
     Each trial moves k random true edges to random vacant off-diagonal cells
     and sums the model's directed scores over the perturbed edge set, divided
     by the sum over the true edge set. Returns (mean, sd) over trials.
-    ``k_moved`` must be an integer >= 0 and ``trials`` one >= 1; either
-    raises ``ValueError`` naming it before any work otherwise.
+    ``k_moved`` and ``seed`` must be integers >= 0 and ``trials`` one >= 1;
+    either raises ``ValueError`` naming it before any work otherwise, as do
+    a ``truth`` on another number of nodes than ``model`` and a true edge
+    set that the model scores 0, where no ratio is defined.
     """
-    for name, v, least in (("k_moved", k_moved, 0), ("trials", trials, 1)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+    check_count("k_moved", k_moved, 0)
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
+    _check_nodes(model, truth)
     edges = np.argwhere(truth.entries == 1)
     if k_moved > edges.shape[0]:
         raise ValueError(f"cannot move {k_moved} edges, graph has {edges.shape[0]}")
     directed, _ = edge_scores(model)
     clean_score = float(directed[truth.entries == 1].sum())
+    if clean_score == 0.0:
+        raise ValueError("the clean edge set scores 0, so no ratio is defined")
     off_diag_empty = np.argwhere((truth.entries == 0) & ~np.eye(truth.n, dtype=bool))
     rng = np.random.default_rng(seed)
     ratios = []
@@ -171,10 +184,12 @@ def bench_sampling(
     """Mean and sd of wall-clock seconds per hard DAG sample.
 
     Garbage collection is paused around the timed section; stray collection
-    pauses otherwise dwarf sub-millisecond samples.
+    pauses otherwise dwarf sub-millisecond samples. ``repetitions`` must be
+    an integer >= 1, ``warmup`` and ``seed`` integers >= 0; each raises a
+    ``ValueError`` naming it before any draw otherwise.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    check_count("repetitions", repetitions, 1)
+    check_count("warmup", warmup, 0)
     noise = GumbelSource(seed)
     for _ in range(warmup):
         sample_dag(model, noise)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from ._checks import check_count, check_scale
 from .autodiff import Tensor
 from .graphs import AdjacencyMatrix, strict_upper_mask
 from .gumbel import (
@@ -248,19 +249,13 @@ def _finite_array(value, what: str, shape: tuple[int, ...] | None = None) -> np.
     return v
 
 
-_SCALAR_FIELDS = (
-    ("n", int, "an integer"),
-    ("perm_mode", str, "a string"),
-    ("temperature", (int, float), "a number"),
-    ("sinkhorn_iters", int, "an integer"),
-)
-
-
 def load_checkpoint(path) -> tuple[DpDagModel, dict]:
-    """Inverse of :func:`save_checkpoint`. A missing key, a scalar field of
-    the wrong JSON type, or a sampler array that is not numeric or holds a
-    non-finite value raises ValueError naming the key; a temperature that is
-    not finite and positive raises ``ParameterError``."""
+    """Inverse of :func:`save_checkpoint`. A missing key, a ``perm_mode``
+    that is not a string, an ``n`` that is not an integer >= 0, or a sampler
+    array that is not numeric or holds a non-finite value raises ValueError
+    naming the key; a ``sinkhorn_iters`` that is not an integer >= 1 or a
+    temperature that is not finite and positive raises ``ParameterError``
+    naming the key."""
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
@@ -270,10 +265,11 @@ def load_checkpoint(path) -> tuple[DpDagModel, dict]:
     for key in ("n", "perm_mode", "temperature", "sinkhorn_iters", "edge_logits", "perm_scores"):
         if key not in blob:
             raise ValueError(f"{path}: missing key {key!r}")
-    # bool is an int subclass, and json reads true/false as bools
-    for key, types, want in _SCALAR_FIELDS:
-        if not isinstance(blob[key], types) or isinstance(blob[key], bool):
-            raise ValueError(f"{path}: {key} must be {want}, got {blob[key]!r}")
+    if not isinstance(blob["perm_mode"], str):
+        raise ValueError(f"{path}: perm_mode must be a string, got {blob['perm_mode']!r}")
+    check_count(f"{path}: n", blob["n"], 0)
+    check_count(f"{path}: sinkhorn_iters", blob["sinkhorn_iters"], 1, ParameterError)
+    check_scale(f"{path}: temperature", blob["temperature"], ParameterError)
     arrays = {key: _finite_array(blob[key], f"{path}: {key}") for key in ("edge_logits", "perm_scores")}
     n = blob["n"]
     tau = float(blob["temperature"])

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._checks import check_count, check_scale
 from .graphs import AdjacencyMatrix, decompose, load_edge_list, save_edge_list
 
 __all__ = [
@@ -65,25 +66,13 @@ class GenSpec:
         self.graph_kind = self.graph_kind.lower()
         if self.graph_kind not in (ER, SF):
             raise ValueError(f"graph_kind must be {ER!r} or {SF!r}, got {self.graph_kind!r}")
-        for name in ("n", "m", "N", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("noise_std", "root_std"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):  # NaN passes a bare v <= 0 check
-                raise ValueError(f"{name} must be finite and positive, got {v}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        for name, least in (("n", 2), ("m", 1), ("N", 3), ("seed", 0)):
+            check_count(name, getattr(self, name), least)
+        check_scale("noise_std", self.noise_std)
+        check_scale("root_std", self.root_std)
         max_edges = self.n * (self.n - 1) // 2
-        if self.graph_kind == ER and not (1 <= self.m <= max_edges):
+        if self.graph_kind == ER and self.m > max_edges:
             raise ValueError(f"er edge count must lie in 1..{max_edges}, got {self.m}")
-        if self.graph_kind == SF and self.m < 1:
-            raise ValueError(f"sf edge count must be >= 1, got {self.m}")
-        if self.N < 3:
-            raise ValueError(f"N must be >= 3, got {self.N}")
 
     @property
     def name(self) -> str:

@@ -25,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
+from ._checks import check_count, check_scale
 from .autodiff import Tape, Tensor
 from .graphs import AdjacencyMatrix
 from .gumbel import SINKHORN, TOPK, GumbelSource, _sigmoid_np
@@ -67,31 +68,17 @@ class TrainConfig:
     sinkhorn_iters: int = 20
 
     def __post_init__(self):
-        for name in ("hidden", "sinkhorn_iters", "batch_size", "max_epochs", "patience", "val_check_every", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name, v in (("learning_rate", self.learning_rate), ("temperature", self.temperature)):
-            if not (math.isfinite(v) and v > 0):  # NaN passes a bare v <= 0 check
-                raise ValueError(f"{name} must be finite and positive, got {v}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
+        for name in ("hidden", "sinkhorn_iters", "batch_size", "max_epochs", "patience", "val_check_every"):
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
+        check_scale("learning_rate", self.learning_rate)
+        check_scale("temperature", self.temperature)
         if self.perm_mode not in (SINKHORN, TOPK):
             raise ValueError(f"perm_mode must be {SINKHORN!r} or {TOPK!r}, got {self.perm_mode!r}")
         if not (1e-2 <= self.prior_p <= 1e-1):
             raise ValueError(f"prior_p must lie in [1e-2, 1e-1], got {self.prior_p}")
         if not (0.0 <= self.lam <= 1e-1):
             raise ValueError(f"lam must lie in [0, 1e-1], got {self.lam}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.val_check_every < 1:
-            raise ValueError(f"val_check_every must be >= 1, got {self.val_check_every}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.sinkhorn_iters < 1:
-            raise ValueError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
         if self.max_epochs < self.val_check_every:
             raise ValueError(f"max_epochs must be >= val_check_every, got {self.max_epochs} < {self.val_check_every}")
 
@@ -124,6 +111,9 @@ class MechanismNet:
     for every parameter ``p``, in the shape a checkpoint stores it. One
     forward pass computes all n networks in numpy and records one
     ``"mechanisms"`` tape node, whatever n is.
+
+    ``n`` and ``hidden`` must be integers >= 1; anything else raises
+    ``ValueError`` naming the argument before any array is allocated.
     """
 
     def __init__(self, n: int, hidden: int, rng: np.random.Generator):
@@ -135,8 +125,9 @@ class MechanismNet:
 
     def _allocate(self, n: int, hidden: int) -> None:
         """Zeroed stacks of every parameter, to be filled node by node."""
-        self.n = n
-        self.hidden = hidden
+        check_count("n", n, 1)
+        check_count("hidden", hidden, 1)
+        self.n, self.hidden = int(n), int(hidden)
         for key, shape in _node_shapes(n, hidden).items():
             setattr(self, key, Tensor(np.zeros((n, *shape)), requires_grad=True))
 
@@ -204,15 +195,13 @@ class MechanismNet:
             got = sorted(state) if isinstance(state, dict) else type(state).__name__
             raise ValueError(f"mechanism state needs keys n, hidden and layers; got {got}")
         n, hidden, layers = state["n"], state["hidden"], state["layers"]
-        for name, v in (("n", n), ("hidden", hidden)):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"mechanism state: {name} must be a positive integer, got {v!r}")
+        # before any allocation, which a huge n would make fail with MemoryError
         if not isinstance(layers, list) or len(layers) != n:
             count = len(layers) if isinstance(layers, list) else type(layers).__name__
-            raise ValueError(f"mechanism state: n = {n} but layers holds {count}")
+            raise ValueError(f"mechanism state: n = {n!r} but layers holds {count}")
         shapes = _node_shapes(n, hidden)
         net = cls.__new__(cls)
-        net._allocate(int(n), int(hidden))
+        net._allocate(n, hidden)
         for i, layer in enumerate(layers):
             if not isinstance(layer, dict) or set(layer) != set(shapes):
                 got = sorted(layer) if isinstance(layer, dict) else type(layer).__name__
@@ -501,13 +490,14 @@ def fit_direct(
     difference to the target adjacency. That loss is taken on the hard 0/1
     draw, so it stays finite; a step that leaves a sampler parameter
     non-finite raises ``DivergenceError`` naming the step instead. An ``lr``
-    that is not finite and positive, or ``steps`` that is not an integer
-    >= 0, raises ``ValueError`` before any step.
+    that is not finite and positive, ``steps`` that is not an integer >= 0,
+    a ``seed`` that is not an integer >= 0 or a ``truth`` on another number
+    of nodes than ``model`` raises ``ValueError`` before any step.
     """
-    if not (math.isfinite(lr) and lr > 0):  # lr <= 0 would ascend the loss or not move
-        raise ValueError(f"lr must be finite and positive, got {lr}")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    check_scale("lr", lr)  # lr <= 0 would ascend the loss or not move
+    check_count("steps", steps, 0)
+    if truth.n != model.n:
+        raise ValueError(f"node counts differ: model has {model.n}, truth has {truth.n}")
     noise = GumbelSource(seed)
     target = Tensor(truth.entries.astype(np.float64))
     opt = Adam(model.parameters(), lr=lr)

@@ -96,6 +96,18 @@ class TestTrainEval:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
 
+    # once numpy's "boolean index did not match indexed array" from the AUCs
+    def test_eval_on_other_node_count_fails_with_one_line(self, small_run, tmp_path, capsys):
+        root, dataset, ckpt = small_run
+        data_out = str(tmp_path / "data")
+        assert run(["generate", "--kind", "er", "--n", "8", "--m", "8", "--samples", "30", "--out", data_out]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "metrics")
+        assert run(["eval", "--checkpoint", ckpt, "--dataset", os.path.join(data_out, "er-8-8-seed0"),
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: node counts differ: {ckpt} model has 6, er-8-8-seed0 has 8\n"
+        assert not os.path.exists(out)
+
     def test_equal_flags_write_equal_checkpoint_bytes(self, small_run, tmp_path):
         root, dataset, ckpt = small_run
         out = str(tmp_path / "again")

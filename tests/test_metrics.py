@@ -145,11 +145,32 @@ class TestPerturbationConfidence:
         with pytest.raises(ValueError, match="cannot move"):
             perturbation_confidence(uniform_model(10), self.truth(), k_moved=99)
 
+    # both once divided by a clean score of 0 and raised a bare ZeroDivisionError
+    def test_clean_score_of_zero_is_named(self):
+        empty = AdjacencyMatrix(np.zeros((3, 3), dtype=np.int8))
+        with pytest.raises(ValueError, match="^the clean edge set scores 0, so no ratio is defined$"):
+            perturbation_confidence(uniform_model(3), empty, k_moved=0)
+        chain = AdjacencyMatrix(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int8))
+        model = uniform_model(3)
+        model.edge_params.logits.value = np.full((3, 3), -800.0)
+        with pytest.raises(ValueError, match="^the clean edge set scores 0"):
+            perturbation_confidence(model, chain, k_moved=1)
+
+    # once a bare IndexError from the boolean mask
+    def test_other_node_count_is_named(self):
+        with pytest.raises(ValueError, match="^node counts differ: model has 8, truth has 10$"):
+            perturbation_confidence(uniform_model(8), self.truth(), k_moved=1)
+
 
 class TestBenchSampling:
     def test_returns_positive_times(self):
         mean, sd = bench_sampling(uniform_model(10), repetitions=5, warmup=1)
         assert mean > 0 and sd >= 0
+
+    # once a bare IndexError from the boolean mask
+    def test_structure_aucs_on_other_node_count_is_named(self):
+        with pytest.raises(ValueError, match="^node counts differ: model has 5, truth has 6$"):
+            structure_aucs(uniform_model(5), self.random_truth())
 
     def test_structure_aucs_keys(self):
         out = structure_aucs(uniform_model(6), self.random_truth())

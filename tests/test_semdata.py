@@ -57,12 +57,12 @@ class TestGenSpec:
 
     # seed=-1 once failed inside numpy, naming no field
     def test_negative_seed(self):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             GenSpec(graph_kind="er", n=4, m=3, seed=-1)
 
     @pytest.mark.parametrize(("field", "value"), [("n", 1), ("N", 2)])
     def test_too_small_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
             GenSpec(**{"graph_kind": "er", "n": 4, "m": 3, field: value})
 
 

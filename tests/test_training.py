@@ -88,7 +88,7 @@ class TestTrainConfig:
 
     def test_rejects_negative_seed(self):
         # caught here, not by numpy's unnamed error inside fit
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             tiny_cfg(seed=-1)
         assert tiny_cfg(seed=np.uint32(7), hidden=np.int64(4)).seed == 7
 
@@ -503,6 +503,12 @@ class TestFitDirect:
             fit_direct(truth, model, **kwargs)
         assert all(np.array_equal(a, p.value) for a, p in zip(before, model.parameters()))
 
+    # once numpy's "operands could not be broadcast together" from the loss
+    def test_truth_on_other_node_count_is_named(self):
+        truth = AdjacencyMatrix(np.triu(np.ones((4, 4), dtype=np.int8), 1))
+        with pytest.raises(ValueError, match="^node counts differ: model has 3, truth has 4$"):
+            fit_direct(truth, DpDagModel.create(3))
+
     def test_zero_steps_returns_the_model_unchanged(self):
         truth = AdjacencyMatrix(np.triu(np.ones((4, 4), dtype=np.int8), 1))
         model = DpDagModel.create(4)
@@ -782,8 +788,11 @@ class TestMechanismCheckpoint:
         "corrupt, match",
         [
             (lambda s: s.update(n=3), "n = 3 but layers holds 4"),
-            (lambda s: s.update(n=0), "n must be a positive integer"),
-            (lambda s: s.update(hidden="3"), "hidden must be a positive integer"),
+            (lambda s: s.update(n=0), "n = 0 but layers holds 4"),
+            (lambda s: s.update(n=0, layers=[]), "n must be an integer >= 1, got 0"),
+            (lambda s: s.update(n=4.0), "n must be an integer >= 1, got 4.0"),
+            (lambda s: s.update(n=10**6), "n = 1000000 but layers holds 4"),
+            (lambda s: s.update(hidden="3"), "hidden must be an integer >= 1"),
             (lambda s: s.update(hidden=2), "node 0 key 'w1' has shape"),
             (lambda s: s.pop("layers"), "needs keys n, hidden and layers"),
             (lambda s: s["layers"][2].pop("b2"), "node 2 has keys"),
