@@ -1,5 +1,6 @@
-"""The rule for the counts, seeds and scales a caller passes in. Each check
-raises ``error`` with a message that starts with the parameter's name."""
+"""The rule for the counts, seeds, scales and other real numbers a caller
+passes in. Each check raises ``error`` with a message that starts with the
+parameter's name."""
 
 import math
 
@@ -13,12 +14,24 @@ def check_count(name: str, v, least: int, error: type[Exception] = ValueError) -
         raise error(f"{name} must be an integer >= {least}, got {v!r}")
 
 
+def _finite_real(v) -> bool:
+    """A Python or numpy real number, never a ``bool`` or a string, and finite."""
+    # concrete types rather than numbers.Real, whose isinstance is several
+    # times slower and runs on every Sinkhorn draw
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    return real and math.isfinite(v)
+
+
+def check_real(name: str, v, error: type[Exception] = ValueError) -> None:
+    """``v`` must be a Python or numpy real number, never a ``bool`` or a
+    string, and finite; a range check on ``v`` can then compare it."""
+    if not _finite_real(v):
+        raise error(f"{name} must be a finite real number, got {v!r}")
+
+
 def check_scale(name: str, v, error: type[Exception] = ValueError) -> None:
     """``v`` must be a Python or numpy real number, never a ``bool`` or a
     string, finite and greater than 0."""
-    # concrete types rather than numbers.Real, whose isinstance is several
-    # times slower and runs on every Sinkhorn draw; NaN fails v > 0 but would
-    # pass a bare v <= 0 check
-    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-    if not (real and math.isfinite(v) and v > 0):
+    # NaN fails v > 0 but would pass a bare v <= 0 check
+    if not (_finite_real(v) and v > 0):
         raise error(f"{name} must be finite and positive, got {v!r}")

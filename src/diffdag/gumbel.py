@@ -1,7 +1,9 @@
 """Stochastic relaxations for edges and permutations.
 
-Edges use the binary Gumbel-Softmax trick in its two-noise (logistic) form:
-``soft = sigmoid((logits + G1 - G2) / tau)``. Permutations come in two
+Edges use the binary Gumbel-Softmax (binary Concrete) relaxation with one
+uniform per pair: ``soft = sigmoid((logits + L) / tau)``, where
+``L = log(u) - log1p(-u)`` is Logistic(0, 1), the law of the difference of
+two iid Gumbel(0, 1) variables. Permutations come in two
 flavours, which :func:`sample_permutation` picks by ``params.mode``: a
 doubly-stochastic relaxation (log-space Sinkhorn iteration, projected to a
 hard permutation with an exact assignment solver) and a rank-based
@@ -45,7 +47,8 @@ __all__ = [
 SINKHORN = "sinkhorn"
 TOPK = "topk"
 
-# Uniform draws are clamped away from {0, 1} so -log(-log(u)) stays finite.
+# Uniform draws are clamped away from {0, 1} so -log(-log(u)) and
+# log(u) - log1p(-u) stay finite; the logistic noise is then within +-27.64.
 _U_EPS = 1e-12
 
 
@@ -54,7 +57,9 @@ class ParameterError(ValueError):
 
 
 class GumbelSource:
-    """Stream of standard Gumbel(0, 1) noise from a counter-based generator.
+    """Stream of standard Gumbel(0, 1) and Logistic(0, 1) noise from a
+    counter-based generator. Each noise value takes one uniform of the
+    stream: a draw of ``shape`` advances it by ``prod(shape)`` uniforms.
 
     Independent callers must use independent sources (distinct seeds); one
     source is not safe to share across threads. A ``seed`` that is not an
@@ -77,6 +82,18 @@ class GumbelSource:
         np.negative(u, out=u)
         np.log(u, out=u)
         np.negative(u, out=u)
+        return u
+
+    def logistic(self, shape) -> np.ndarray:
+        """Fresh ``log(u) - log1p(-u)`` noise of ``shape``, ``u`` uniform and
+        clamped as in :meth:`gumbel`: Logistic(0, 1), the law of the
+        difference of two iid Gumbel(0, 1) variables, from one uniform."""
+        u = self._gen.random(shape)
+        u.clip(_U_EPS, 1.0 - _U_EPS, out=u)
+        t = np.negative(u)
+        np.log1p(t, out=t)
+        np.log(u, out=u)
+        u -= t
         return u
 
 
@@ -186,13 +203,12 @@ def _edge_rule(v: np.ndarray) -> np.ndarray:
 
 
 def _scaled_logits(params: EdgeParams, noise: GumbelSource | None) -> np.ndarray:
-    """``(logits + G1 - G2) / tau``, or ``logits / tau`` without noise: the
-    argument of the edge sigmoid, in a fresh array."""
+    """``(logits + L) / tau`` with ``L`` the source's logistic noise, one
+    uniform per pair, or ``logits / tau`` without noise: the argument of the
+    edge sigmoid, in a fresh array."""
     if noise is None:
         return params.logits.value * (1.0 / params.temperature)
-    n = params.n
-    v = noise.gumbel((n, n))
-    v -= noise.gumbel((n, n))
+    v = noise.logistic((params.n, params.n))
     v += params.logits.value
     v *= 1.0 / params.temperature
     return v
@@ -202,8 +218,9 @@ def sample_edges(params: EdgeParams, noise: GumbelSource | None = None) -> tuple
     """Sample all n*n candidate edges at once.
 
     Returns ``(hard, soft)``: a detached binary matrix (1 where soft > 0.5)
-    and the relaxed sigmoid tensor. Noise-free mode drops the Gumbel pair
-    difference and is deterministic. Under a tape the soft output records one
+    and the relaxed sigmoid tensor. A noisy draw takes n*n uniforms of
+    ``noise``, one logistic value per pair; noise-free mode drops the noise
+    and is deterministic. Under a tape the soft output records one
     ``"edges"`` node on the logits.
     """
     v = _scaled_logits(params, noise)

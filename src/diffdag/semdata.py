@@ -63,9 +63,9 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.graph_kind = self.graph_kind.lower()
-        if self.graph_kind not in (ER, SF):
+        if not isinstance(self.graph_kind, str) or self.graph_kind.lower() not in (ER, SF):
             raise ValueError(f"graph_kind must be {ER!r} or {SF!r}, got {self.graph_kind!r}")
+        self.graph_kind = self.graph_kind.lower()
         for name, least in (("n", 2), ("m", 1), ("N", 3), ("seed", 0)):
             check_count(name, getattr(self, name), least)
         check_scale("noise_std", self.noise_std)

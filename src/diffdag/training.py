@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from ._checks import check_count, check_scale
+from ._checks import check_count, check_real, check_scale
 from .autodiff import Tape, Tensor
 from .graphs import AdjacencyMatrix
 from .gumbel import SINKHORN, TOPK, GumbelSource, _sigmoid_np
@@ -75,6 +75,8 @@ class TrainConfig:
         check_scale("temperature", self.temperature)
         if self.perm_mode not in (SINKHORN, TOPK):
             raise ValueError(f"perm_mode must be {SINKHORN!r} or {TOPK!r}, got {self.perm_mode!r}")
+        check_real("prior_p", self.prior_p)
+        check_real("lam", self.lam)
         if not (1e-2 <= self.prior_p <= 1e-1):
             raise ValueError(f"prior_p must lie in [1e-2, 1e-1], got {self.prior_p}")
         if not (0.0 <= self.lam <= 1e-1):

@@ -1,0 +1,108 @@
+"""The law of the topk DAG sampler against its exact distribution.
+
+In topk mode the hard order is the descending argsort of ``scores +
+Gumbel``, so by the Gumbel-max trick it is Plackett-Luce over
+``exp(scores)``. Each pair the order allows is an edge when ``logit + L > 0``
+for Logistic(0, 1) noise ``L``, which is Bernoulli(sigmoid(logit)) at any
+temperature. At n = 3 that gives the probability of each of the 25 DAGs in
+closed form, and a chi-square test compares the value-only draws with it.
+
+A wrong sign on the score noise, or a temperature that reaches the hard edge
+rule other than through the sign of ``(logit + L) / tau``, changes the law
+and fails these tests. A sign flip of the edge noise does not: the logistic
+law is symmetric, so no test of the law can see it.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from diffdag.gumbel import TOPK, EdgeParams, GumbelSource, PermutationParams, _hard_edges
+from diffdag.model import DpDagModel, sample_dag
+
+N = 3
+SCORES = np.array([0.9, -0.3, -0.8])
+LOGITS = np.array([[0.0, 1.2, -0.8], [0.5, 0.0, -1.5], [1.0, -0.4, 0.0]])
+CELLS = [(i, j) for i in range(N) for j in range(N) if i != j]
+DRAWS = 20_000
+# the 99.99th percentile of chi-square on 24 degrees of freedom is about 55.5;
+# the smallest expected cell count at DRAWS is 32
+CHI2_BOUND = 60.0
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _plackett_luce(scores):
+    """P(order) for every order, first the highest-ranked node."""
+    w = np.exp(scores)
+    out = {}
+    for order in itertools.permutations(range(len(scores))):
+        p, rest = 1.0, w.sum()
+        for v in order:
+            p *= w[v] / rest
+            rest -= w[v]
+        out[order] = p
+    return out
+
+
+def _key(entries):
+    return sum(1 << k for k, (i, j) in enumerate(CELLS) if entries[i, j])
+
+
+def _dag_pmf(scores, logits):
+    """P(A), keyed by ``_key(A)``: the sum over orders of PL(order) times
+    independent Bernoulli(sigmoid(logit)) terms on the pairs it allows."""
+    pmf = {}
+    for order, p_order in _plackett_luce(scores).items():
+        rank = {v: r for r, v in enumerate(order)}
+        allowed = [(i, j) for i, j in CELLS if rank[i] < rank[j]]
+        for bits in itertools.product((0, 1), repeat=len(allowed)):
+            p = p_order
+            a = np.zeros((N, N), dtype=bool)
+            for (i, j), b in zip(allowed, bits):
+                q = _sigmoid(logits[i, j])
+                p *= q if b else 1.0 - q
+                a[i, j] = b
+            k = _key(a)
+            pmf[k] = pmf.get(k, 0.0) + p
+    return pmf
+
+
+def test_the_enumerated_law_covers_every_dag():
+    pmf = _dag_pmf(SCORES, LOGITS)
+    assert len(pmf) == 25 and abs(sum(pmf.values()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.5, 2.0])
+def test_topk_dag_law_at_n3(tau):
+    model = DpDagModel(
+        n=N,
+        edge_params=EdgeParams(n=N, logits=LOGITS, temperature=tau),
+        perm_params=PermutationParams(n=N, mode=TOPK, scores=SCORES, temperature=tau),
+    )
+    noise = GumbelSource(101)
+    counts = {}
+    for _ in range(DRAWS):  # no tape: value-only draws
+        k = _key(sample_dag(model, noise)[0].entries)
+        counts[k] = counts.get(k, 0) + 1
+    pmf = _dag_pmf(SCORES, LOGITS)
+    assert set(counts) <= set(pmf), "a draw outside the 25 DAGs"
+    chi2 = sum((counts.get(k, 0) - DRAWS * p) ** 2 / (DRAWS * p) for k, p in pmf.items())
+    assert chi2 < CHI2_BOUND, f"chi2 = {chi2:.1f} on 24 degrees of freedom at tau = {tau}"
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 3.0])
+def test_edge_marginals_are_sigmoid_of_the_logits(tau):
+    n, draws = 40, 25
+    logits = np.where(np.indices((n, n)).sum(axis=0) % 2 == 0, 2.0, -2.0)
+    params = EdgeParams(n=n, logits=logits, temperature=tau)
+    noise = GumbelSource(202)
+    on = sum(_hard_edges(params, noise).astype(np.int64) for _ in range(draws))
+    for logit in (2.0, -2.0):
+        p, trials = _sigmoid(logit), draws * int((logits == logit).sum())
+        freq = on[logits == logit].sum() / trials
+        z = (freq - p) / np.sqrt(p * (1.0 - p) / trials)
+        assert abs(z) < 4.5, f"logit {logit}, tau {tau}: frequency {freq:.4f} against {p:.4f} (z = {z:.1f})"

@@ -22,6 +22,7 @@ from diffdag.autodiff import Tape, Tensor
 from diffdag.graphs import strict_upper_mask
 from diffdag.graphs import PermutationMatrix
 from diffdag.gumbel import (
+    _U_EPS,
     SINKHORN,
     TOPK,
     EdgeParams,
@@ -74,6 +75,12 @@ def _reference_permutation(params, noise):
     return PermutationMatrix(ranks), softsort(scores, tau=params.temperature)
 
 
+def _logistic_noise(noise, shape):
+    """``log(u) - log1p(-u)`` from the source's next clamped uniforms."""
+    u = np.clip(noise._gen.random(shape), _U_EPS, 1.0 - _U_EPS)
+    return np.log(u) - np.log1p(-u)
+
+
 def _reference_draw(model, noise, relaxed):
     """The 11-node draw: score noise, the relaxation, edge noise, 1/tau,
     sigmoid, P^T M P as transpose and two matmuls, E * mask, and two
@@ -82,7 +89,7 @@ def _reference_draw(model, noise, relaxed):
     p_hard, p_soft = _reference_permutation(model.perm_params, noise)
     z = model.edge_params.logits
     if noise is not None:
-        z = add(z, Tensor(noise.gumbel((n, n)) - noise.gumbel((n, n))))
+        z = add(z, Tensor(_logistic_noise(noise, (n, n))))
     v = mul(z, Tensor(1.0 / model.edge_params.temperature))
     e_hard, e_soft = _edge_rule(v.value).astype(np.float64), _sigmoid(v)
     hard_mask = _order_mask(p_hard.perm)

@@ -61,6 +61,33 @@ class TestGumbelSource:
         assert np.isfinite(g).all()
 
 
+class TestLogisticNoise:
+    def test_reproducible(self):
+        np.testing.assert_array_equal(GumbelSource(42).logistic((3, 3)), GumbelSource(42).logistic((3, 3)))
+        assert not np.array_equal(GumbelSource(42).logistic((3, 3)), GumbelSource(43).logistic((3, 3)))
+
+    @pytest.mark.parametrize("shape", [1, 7, (3, 3), (200, 200)])
+    def test_one_clamped_uniform_per_value(self, shape):
+        for seed in (0, 1, 7919):
+            u = np.clip(np.random.Generator(np.random.Philox(seed)).random(shape), _U_EPS, 1.0 - _U_EPS)
+            assert np.array_equal(GumbelSource(seed).logistic(shape), np.log(u) - np.log1p(-u))
+
+    def test_clamp_at_the_uniforms_ends(self):
+        u = np.array([0.0, 1e-300, _U_EPS, 0.5, 1.0 - _U_EPS, 1.0 - 2.0**-53])
+        source = GumbelSource(0)
+        source._gen = type("Fixed", (), {"random": lambda self, shape: u.copy().reshape(shape)})()
+        got = source.logistic(u.shape)
+        assert np.isfinite(got).all() and np.abs(got).max() <= 27.64
+        assert got[0] == got[1] == got[2] < -27.6 and got[-1] == got[-2] > 27.6 and got[3] == 0.0
+
+    def test_distribution_moments(self):
+        g = GumbelSource(0).logistic(400_000)
+        # standard logistic: mean 0, var = pi^2/3 (sd of the variance estimate ~0.011)
+        assert abs(g.mean()) < 0.01
+        assert abs(g.var() - np.pi**2 / 3) < 0.05
+        assert np.isfinite(g).all()
+
+
 class TestSampleEdges:
     def test_zero_logits_deterministic(self):
         hard, soft = sample_edges(EdgeParams(n=3), noise=None)
@@ -102,12 +129,12 @@ class TestSampleEdges:
             build(tau)
 
     def test_noise_matches_logistic_form(self):
-        # soft = sigmoid((logits + g1 - g2) / tau) for the recorded draws
+        # soft = sigmoid((logits + L) / tau), L = log(u) - log1p(-u) from one
+        # clamped uniform per pair of the source's Philox stream
         params = EdgeParams(n=4, logits=np.linspace(-2, 2, 16).reshape(4, 4), temperature=0.7)
         _, soft = sample_edges(params, GumbelSource(5))
-        # reproduce: the sampler draws g1 then g2 from one stream
-        src = GumbelSource(5)
-        expect = 1 / (1 + np.exp(-((params.logits.value + src.gumbel((4, 4)) - src.gumbel((4, 4))) / 0.7)))
+        u = np.clip(np.random.Generator(np.random.Philox(5)).random((4, 4)), _U_EPS, 1.0 - _U_EPS)
+        expect = 1 / (1 + np.exp(-((params.logits.value + np.log(u) - np.log1p(-u)) / 0.7)))
         np.testing.assert_allclose(soft.value, expect, atol=1e-12)
 
 

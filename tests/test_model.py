@@ -172,6 +172,15 @@ class TestValueOnlyDraw:
         if seed is not None:  # both draws consumed the same stretch of noise
             np.testing.assert_array_equal(untaped_noise.gumbel(3), taped_noise.gumbel(3))
 
+    def test_a_topk_draw_takes_n_plus_n_squared_uniforms(self, rng):
+        # n Gumbel values for the scores, then one logistic value per pair
+        n, seed = 10, 29
+        noise = GumbelSource(seed)
+        sample_dag(make_model(n, logits=rng.normal(size=(n, n)), scores=rng.normal(size=n)), noise)
+        fresh = np.random.Generator(np.random.Philox(seed))
+        fresh.random(n + n * n)
+        np.testing.assert_array_equal(noise._gen.random(4), fresh.random(4))
+
     def test_owns_a_read_only_int8_sample(self, rng):
         model = make_model(6, logits=rng.normal(size=(6, 6)), scores=rng.normal(size=6))
         s = sample_dag_parts(model, GumbelSource(4))

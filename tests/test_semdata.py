@@ -33,6 +33,11 @@ class TestGenSpec:
         with pytest.raises(ValueError, match="graph_kind"):
             GenSpec(graph_kind="ws", n=4, m=3)
 
+    @pytest.mark.parametrize("kind", [3, None, b"er", ["er"]])
+    def test_kind_that_is_not_a_string(self, kind):
+        with pytest.raises(ValueError, match="^graph_kind must be "):
+            GenSpec(graph_kind=kind, n=4, m=3)
+
     def test_nonpositive_noise(self):
         with pytest.raises(ValueError, match="noise_std"):
             GenSpec(graph_kind="er", n=4, m=3, noise_std=0.0)

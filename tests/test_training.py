@@ -51,6 +51,12 @@ def tiny_cfg(**kw):
 
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["prior_p", "lam"])
+    @pytest.mark.parametrize("value", ["0.05", None, True, [0.05], float("nan"), float("inf"), 1j])
+    def test_real_fields_reject_what_is_not_a_finite_real(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            tiny_cfg(**{name: value})
+
     def test_ranges_enforced(self):
         with pytest.raises(ValueError, match="prior_p"):
             tiny_cfg(prior_p=0.5)
