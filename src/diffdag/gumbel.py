@@ -5,8 +5,10 @@ uniform per pair: ``soft = sigmoid((logits + L) / tau)``, where
 ``L = log(u) - log1p(-u)`` is Logistic(0, 1), the law of the difference of
 two iid Gumbel(0, 1) variables. Permutations come in two
 flavours, which :func:`sample_permutation` picks by ``params.mode``: a
-doubly-stochastic relaxation (log-space Sinkhorn iteration, projected to a
-hard permutation with an exact assignment solver) and a rank-based
+doubly-stochastic relaxation (Sinkhorn iteration, one log-space round and
+then matrix scaling ``diag(r) K diag(c)``, two matrix-vector products a
+round, projected to a hard permutation with an exact assignment solver)
+and a rank-based
 relaxation (SoftSort of perturbed scores, their descending argsort for the
 hard permutation). Each relaxation runs in numpy and records one tape node
 with its own adjoint, with the Gumbel noise inside the node's value. All
@@ -20,13 +22,12 @@ from the tape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from ._checks import check_count, check_scale
+from ._checks import check_count, check_real, check_scale
 from .autodiff import Tensor
 from .graphs import PermutationMatrix
 
@@ -132,9 +133,10 @@ class PermutationParams:
     mode: str = TOPK
     scores: Tensor = None
     temperature: float = 1.0
-    # Training replays every round in the backward pass, so the budget stays
-    # small; standalone operator calls default to a larger cap (see
-    # sinkhorn_operator).
+    # Training replays every round in the backward pass, a few n x n
+    # elementwise passes each, from two length-n scalings a taped round
+    # keeps; so the budget stays small. Standalone operator calls default to
+    # a larger cap (see sinkhorn_operator).
     sinkhorn_iters: int = 20
 
     def __post_init__(self):
@@ -157,14 +159,11 @@ class PermutationParams:
             )
 
 
-def _lse_into(a: np.ndarray, axis: int, top: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``max + log(sum(exp(a - max)))`` along ``axis`` (kept as a length-1
-    axis) written into ``out``; ``top`` receives the maxima and ``e``, of
-    ``a``'s shape, the exponentials. Returns ``out``."""
-    np.maximum.reduce(a, axis=axis, keepdims=True, out=top)
-    np.subtract(a, top, out=e)
-    np.exp(e, out=e)
-    np.add.reduce(e, axis=axis, keepdims=True, out=out)
+def _lse(a: np.ndarray, axis: int, e: np.ndarray) -> np.ndarray:
+    """``max + log(sum(exp(a - max)))`` along ``axis``, kept as a length-1
+    axis; ``e``, of ``a``'s shape, receives the exponentials."""
+    top = np.maximum.reduce(a, axis=axis, keepdims=True)
+    out = np.add.reduce(np.exp(np.subtract(a, top, out=e), out=e), axis=axis, keepdims=True)
     np.log(out, out=out)
     return np.add(top, out, out=out)
 
@@ -241,122 +240,141 @@ def _hard_edges(params: EdgeParams, noise: GumbelSource | None = None) -> np.nda
 
 
 def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = 1e-6) -> Tensor:
-    """Push ``m / tau`` toward the doubly-stochastic polytope in log space.
+    """Push ``exp(m / tau)`` toward the doubly-stochastic polytope.
 
-    Alternates row and column log-sum-exp normalization up to ``iters``
-    times, exiting as soon as the worst row/column sum deviates from 1 by
-    less than ``tol``. An early exit is the exception at training's default
+    Sinkhorn's iteration alternates row and column normalization up to
+    ``iters`` times, exiting as soon as the worst row/column sum deviates
+    from 1 by less than ``tol``. ``tol`` is a finite real number >= 0; at 0
+    every round runs. An early exit is the exception at training's default
     cap of 20: over 30 draws of ``scale * N(0, 1) + Gumbel`` per cell
     (scales 0.1, 1 and 5), 10-30 ran all 20 rounds at n = 10 and 24-30 at
     n = 50 and n = 200, so training draws at n >= 50 almost always run the
-    full cap. Log-space arithmetic keeps the iteration finite for
-    arbitrarily large score magnitudes.
+    full cap.
+
+    Round 1 is one row and column step in log space, which stays finite for
+    arbitrarily large score magnitudes; its exponential is a matrix ``K``
+    with entries in [0, 1] and a positive entry in every row and column
+    (see ``_sinkhorn``). Later rounds are matrix scaling (Cuturi 2013): the
+    iterate is ``diag(r) K diag(c)``, and a round sets ``r = 1 / (K @ c)``
+    and then ``c = 1 / (r @ K)``, two matrix-vector products and no
+    ``exp``. When ``K @ c`` or ``r @ K`` has an entry below ``2**-200``,
+    so that ``r`` or ``c`` has one above ``2**200``, both are folded into
+    ``K`` and reset to 1 (Schmitzer 2019): they stay finite and positive
+    however long the iteration runs. The output
+    ``r[:, None] * K * c`` is formed once, at the end.
+
+    A round's exit is tested at the top of the next round: its row sums are
+    ``r * (K @ c)``, and that matrix-vector product is the next round's
+    first step, so the test costs one multiply and the reductions. The
+    column sums, ``c * (r @ K)``, are taken only once the rows pass. The
+    last round is not tested: exiting there returns the same output.
 
     The loop runs once, in numpy, whether or not a tape is active, so the
     output does not depend on taping. Under a tape it records one
-    ``"sinkhorn"`` node whose adjoint replays the saved iterates in reverse:
-    exactly the gradient of the unrolled loop, at whatever round it stopped.
+    ``"sinkhorn"`` node whose adjoint replays the rounds in reverse: the
+    gradient of the unrolled loop, at whatever round it stopped. A taped
+    round saves its two scaling vectors, O(n); ``K`` is
+    saved once per absorption segment. The adjoint forms each step's
+    softmax from them, ``diag(r_k) K diag(c_{k-1})`` for the row step and
+    ``diag(r_k) K diag(c_k)`` for the column step, again without ``exp``.
     A draw records the same node on its unperturbed scores (see
-    :func:`sample_permutation`).
-
-    A round's exit is tested at the top of the next round, where the next
-    row step's log-sum-exps, the logs of the row sums, are at hand. The
-    exact test (the row sums, then the column sums once the rows pass) runs
-    only when every row's log-sum-exp lies within a rounding slack of
-    ``(log(1 - tol), log(1 + tol))``; a row outside that band provably fails
-    it. Row 0's log-sum-exp is read first, and the maximum and minimum over
-    all rows are taken only when it lies inside the band; a row 0 outside it
-    fails the full screen too. On seeded draws at n = 10 (standard normal
-    scores plus Gumbel noise, 20 rounds) about 17.7 rounds per draw take the
-    screen, and row 0 lets only about 1.2 of them through to the maximum and
-    minimum. After the column step the columns are the ones already close to
-    1, so the rows decide almost every round. The last round is not tested:
-    exiting there returns the same output. So an untaped round computes two
-    log-sum-exps and the two steps, and ``exp`` of the iterate only when
-    the screen passes and once at the end; a taped round also saves the
-    fresh row iterate and its ``exp``, the adjoint's operands. A matrix with
-    no entries runs no round and comes back as an empty output.
+    :func:`sample_permutation`). A matrix with no entries runs no round and
+    comes back as an empty output.
     """
     check_scale("tau", tau, ParameterError)
     check_count("iters", iters, 1, ParameterError)
+    check_real("tol", tol, ParameterError)
+    if tol < 0:
+        raise ParameterError(f"tol must be >= 0, got {tol!r}")
     m = m if isinstance(m, Tensor) else Tensor(m)
     return _sinkhorn(m, m.value, iters, tau, tol)
+
+
+# An entry of K @ c or r @ K below this, of r or c above its inverse, folds
+# both scalings into K (see _sinkhorn).
+_SCALING_FLOOR = 2.0**-200
 
 
 def _sinkhorn(m: Tensor, x: np.ndarray, iters: int, tau: float, tol: float = 1e-6) -> Tensor:
     """:func:`sinkhorn_operator` of ``x``, recorded on ``m``; ``x`` is
     ``m.value`` or ``m.value`` plus a constant, so the adjoints agree."""
-    # Iterates are kept only when a node will be recorded, as a flat list
-    # rows_1, p_1, rows_2, p_2, ...; each is then a fresh array. Untaped, the
-    # row and column steps write into work and the exp into p, so a call
-    # holds three n x n arrays (work, p and the scratch e) whatever iters is.
-    # Each broadcasting subtraction (two in _lse_into, the row and the column
-    # step) also makes numpy allocate and free a hidden iterator buffer even
-    # with out= given: 65 KB at n = 200 for (n, 1), (1, n), 1-d,
-    # broadcast_to and transposed operands alike, none when both operands
-    # are contiguous (n, n). It is the peak's headroom above three arrays.
+    # Taped, every K, r and c is a fresh array and saved holds one tuple
+    # (K, r_k, c_{k-1}, c_k) per round, the rounds of a segment sharing their
+    # K. Untaped, K, r and c are overwritten in place, and the output is
+    # written into K: a call holds K, round 1's scratch e and O(n) vectors,
+    # whatever iters is. (Each broadcasting op also makes numpy allocate and
+    # free a hidden iterator buffer even with out= given, 65 KB at n = 200.)
+    #
+    # Why no matrix-vector product has a zero entry. Let the shape be
+    # n_r x n_c. Round 1 rounds to nearest, so a rounded a + b lies within
+    # |b| of a + b when a is a float (a itself is a candidate):
+    #  - Row step. A row's log-sum-exp is t + log(sigma), t the row's maximum
+    #    and sigma in [1, n_c] up to rounding (its largest term is exp(0) =
+    #    1), so it lies in [t, t + 2 log(n_c)]: subtracting it leaves every
+    #    entry <= 0 and each row's maximum >= -2 log(n_c) (about -log(n_c)
+    #    while |t| is small against 2^52).
+    #  - Column step. Likewise a column's log-sum-exp lies in [t', t' + 2
+    #    log(n_r)], t' <= 0 the column's maximum: every entry stays <= 0,
+    #    each column's maximum is >= -2 log(n_r), and the entry that was its
+    #    row's maximum is >= -2 log(n_c) - 2 log(n_r), up to ulps.
+    # So K = exp(iterate) has entries in [0, 1], each column an entry >=
+    # 1/n_r^2 and each row one >= 1/(n_r n_c)^2 (about 1/n_r and 1/(n_r n_c)
+    # at moderate magnitudes). The check keeps K @ c and r @ K >= 2^-200, so
+    # r and c are at most H = 2^200; then K @ c <= n_c H and r @ K <= n_r H
+    # make r >= 1/(n_c H) and c >= 1/(n_r H), and the next round has K @ c
+    # >= 1/(H n_r^3 n_c^2) and r @ K >= 1/(H n_c n_r^2): both positive and
+    # their reciprocals finite for n below 2^100, at any score magnitude.
+    # Absorbing sets K to the iterate diag(r_k) K diag(c_k): its row step
+    # made every row sum to 1 and its column step divided by column sums <=
+    # n_r, so its entries are in [0, 1], its columns sum to 1 and every row
+    # has an entry >= 1/(n_r n_c), up to rounding: the bound holds again.
     saved = [] if ad._active_tape() is not None and m.requires_grad else None
-    work = x / tau  # the column step's output, which is never kept
-    e = np.empty_like(work)
-    rows_out, p_out = (None, None) if saved is not None else (work, np.empty_like(work))
-    n_rows, n_cols = work.shape
-    row_top, row_s, sums = np.empty((n_rows, 1)), np.empty((n_rows, 1)), np.empty((n_rows, 1))
-    col_top, col_s = np.empty((1, n_cols)), np.empty((1, n_cols))
-    # The exit screen. Let x be round k's iterate, s_i = sum_j exp(x_ij) the
-    # row sum the exact test takes and L_i the log-sum-exp the next row step
-    # takes, n = n_cols, u = 2^-53, and numpy's exp and log within 4 ulp (8u).
-    #  - s_i sums n non-negative rounded exps: relative error at most
-    #    (n - 1 + 8)u in any summation order (subnormal terms add at most
-    #    n * 2^-1074, nothing against a sum near 1).
-    #  - L_i = t + log(sum_j exp(fl(x_ij - t))), t the row's maximum. A
-    #    rounded shift moves its term by at most u|d|e^d <= u/e (d = x_ij - t
-    #    <= 0) against a sum >= 1, so the sum's relative error is at most
-    #    (n - 1 + 8 + n/e)u; its log, in [0, log n], adds 8u log n.
-    #  - Where the exact test can pass (0 < tol <= 1/2), s_i lies in
-    #    (1/2, 3/2), so |L_i| < 1 and the final add rounds by at most u.
-    # To first order |L_i - log s_i| <= (2n + n/e + 8 log n + 17)u < (4n + 62)u,
-    # and math.log1p (within 1 ulp below 1) and the band's own subtraction
-    # add u each: slack = (4n + 64)u, 4.5e-13 at n = 10^3, where the largest
-    # gap measured at n = 10..1000 was 10u. So a row whose L_i lies outside
-    # (log1p(-tol) - slack, log1p(tol) + slack) has |s_i - 1| >= tol (exact
-    # on [1/2, 2] by Sterbenz) and fails the exact test. NaN fails neither
-    # comparison, so it reaches the exact test, which fails it. Outside
-    # 0 < tol <= 1/2 the screen is open: for tol <= 0 the exact test cannot
-    # pass, and above 1/2 (no caller) s_i - 1 may round.
-    slack = (4 * n_cols + 64) * 2.0**-53
-    lo, hi = (math.log1p(-tol) - slack, math.log1p(tol) + slack) if 0 < tol <= 0.5 else (-math.inf, math.inf)
-    log_p = work
-    for k in range(iters if work.size else 0):  # no entries, nothing to normalize
-        lse = _lse_into(log_p, 1, row_top, row_s, e)
-        # Row 0 screens the screen: outside the band it fails the full screen
-        # too (max >= x >= hi or min <= x <= lo), and a NaN there passes both.
-        if k and not ((x := lse.item(0)) >= hi or x <= lo) and not (
-            np.maximum.reduce(lse, axis=None) >= hi or np.minimum.reduce(lse, axis=None) <= lo
-        ):
-            if saved is None:
-                p = np.exp(log_p, out=p_out)
-            if _sums_near_one(np.add.reduce(p, axis=1, keepdims=True, out=sums), tol):
-                if _sums_near_one(np.add.reduce(p, axis=0, keepdims=True, out=col_s), tol):
-                    break
-        log_p = np.subtract(log_p, lse, out=rows_out)
+    k_mat = x / tau
+    n_rows, n_cols = k_mat.shape
+    r, c = np.ones(n_rows), np.ones(n_cols)
+    rounds = iters if k_mat.size else 0  # no entries, nothing to normalize
+    if rounds:
+        e = np.empty_like(k_mat)
+        k_mat -= _lse(k_mat, 1, e)
+        col_lse = _lse(k_mat, 0, e)
+        k_mat -= col_lse
+        del e  # freed before a taped call allocates its output
+        np.exp(k_mat, out=k_mat)
+        if saved is not None:  # the row step's softmax is K diag(exp(col_lse))
+            saved.append((k_mat, r, np.exp(col_lse[0]), c))
+    # s = K @ c and t = r @ K share a buffer, so one reduction finds whether
+    # either has an entry below the floor
+    st, sums = np.empty(n_rows + n_cols), np.empty(n_rows)
+    s, t = st[:n_rows], st[n_rows:]
+    for _ in range(rounds - 1):
+        k_mat.dot(c, out=s)
+        if _sums_near_one(np.multiply(r, s, out=sums), tol) and _sums_near_one(c * r.dot(k_mat), tol):
+            break
+        c_prev = c
+        r = np.reciprocal(s, out=r if saved is None else None)
+        c = np.reciprocal(r.dot(k_mat, out=t), out=c if saved is None else None)
         if saved is not None:
-            saved.append(log_p)
-        log_p = np.subtract(log_p, _lse_into(log_p, 0, col_top, col_s, e), out=work)
-        if saved is not None:
-            p = np.exp(log_p)
-            saved.append(p)
-    else:
-        if not saved:  # untaped, or no round ran
-            p = np.exp(log_p, out=p_out)
+            saved.append((k_mat, r, c_prev, c))
+        if np.minimum.reduce(st) < _SCALING_FLOOR:
+            k_mat = np.multiply(k_mat, r[:, None], out=k_mat if saved is None else None)
+            k_mat *= c
+            r, c = np.ones(n_rows), np.ones(n_cols)
+    p = np.multiply(k_mat, r[:, None], out=k_mat if saved is None else None)
+    p *= c
 
     def bw(g, node):
         g = g * node.output.value  # through the final exp
-        t = np.empty_like(g)
-        for rows_k, p_k in reversed(list(zip(node.saved[::2], node.saved[1::2]))):
-            # column step: its softmax is p_k; row step: its softmax is exp(rows_k)
-            g -= np.multiply(p_k, np.add.reduce(g, axis=0, keepdims=True), out=t)
-            np.exp(rows_k, out=t)
-            t *= np.add.reduce(g, axis=1, keepdims=True)
+        rk, t = np.empty_like(g), np.empty_like(g)
+        ones_r, ones_c = np.ones(g.shape[0]), np.ones(g.shape[1])
+        for k_mat, r, c_prev, c in reversed(node.saved):
+            np.multiply(k_mat, r[:, None], out=rk)
+            # column step: its softmax is diag(r) K diag(c)
+            a = ones_r.dot(g)
+            a *= c
+            g -= np.multiply(rk, a, out=t)
+            # row step: its softmax is diag(r) K diag(c_prev)
+            np.multiply(rk, c_prev, out=t)
+            t *= g.dot(ones_c)[:, None]
             g -= t
         g /= tau
         return (g,)

@@ -162,3 +162,18 @@ def test_the_rule_is_written_once():
         if pattern.search(line)
     ]
     assert (SRC / "_checks.py").exists() and not found, found
+
+
+# sinkhorn_operator's tol is a real number >= 0 (0 runs every round): a
+# string or None once raised a bare TypeError, and NaN or a negative tol
+# silently ran every round
+@pytest.mark.parametrize("tol", ["x", None, True, np.nan, np.inf, -np.inf, -1e-300, -1, np.float64(-0.5)])
+def test_sinkhorn_tol_must_be_a_finite_real_at_least_0(tol):
+    with pytest.raises(ParameterError) as exc:
+        sinkhorn_operator(np.eye(3), tol=tol)
+    assert str(exc.value).startswith("tol must be "), str(exc.value)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -0.0, 1e-300, 1e-6, np.float32(0.5), np.int64(2), 1e300])
+def test_sinkhorn_accepts_every_finite_tol_at_least_0(tol):
+    assert np.allclose(sinkhorn_operator(np.eye(3), iters=3, tol=tol).value.sum(axis=0), 1.0)

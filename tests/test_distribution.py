@@ -11,6 +11,19 @@ A wrong sign on the score noise, or a temperature that reaches the hard edge
 rule other than through the sign of ``(logit + L) / tau``, changes the law
 and fails these tests. A sign flip of the edge noise does not: the logistic
 law is symmetric, so no test of the law can see it.
+
+Sinkhorn mode has no closed form, so its tests check the law's symmetries.
+The score matrix's rows index positions and its columns nodes (the hard
+permutation puts node v at row ``perm[v]``), and the noise is iid per cell.
+So at zero scores every order is equally likely, and relabelling the nodes,
+which permutes the score matrix's columns and the logits' rows and columns
+by the same map, relabels the DAG frequencies by that map. (Permuting the
+rows as well would relabel the positions too, which conjugates the order
+rather than relabelling the DAG.) Score noise of one value per row instead
+of per cell fails the first test; a solver that returns the inverse
+permutation, or a Sinkhorn output transposed, fails the second. A solver that breaks ties toward the last column fails
+neither: with continuous noise the best assignment is unique, so no test
+of the law can see its tie rule.
 """
 
 import itertools
@@ -18,7 +31,7 @@ import itertools
 import numpy as np
 import pytest
 
-from diffdag.gumbel import TOPK, EdgeParams, GumbelSource, PermutationParams, _hard_edges
+from diffdag.gumbel import SINKHORN, TOPK, EdgeParams, GumbelSource, PermutationParams, _hard_edges, _hard_permutation
 from diffdag.model import DpDagModel, sample_dag
 
 N = 3
@@ -106,3 +119,49 @@ def test_edge_marginals_are_sigmoid_of_the_logits(tau):
         freq = on[logits == logit].sum() / trials
         z = (freq - p) / np.sqrt(p * (1.0 - p) / trials)
         assert abs(z) < 4.5, f"logit {logit}, tau {tau}: frequency {freq:.4f} against {p:.4f} (z = {z:.1f})"
+
+
+# the 99.99th percentile of chi-square on 5 degrees of freedom is about 25.7
+SINKHORN_DRAWS = 2000
+UNIFORM_BOUND = 27.0
+
+
+def test_sinkhorn_order_is_uniform_at_zero_scores():
+    params = PermutationParams(n=N, mode=SINKHORN)
+    noise = GumbelSource(303)
+    counts = {}
+    for _ in range(SINKHORN_DRAWS):
+        k = tuple(_hard_permutation(params, noise).perm.tolist())
+        counts[k] = counts.get(k, 0) + 1
+    expect = SINKHORN_DRAWS / 6
+    chi2 = sum((counts.get(k, 0) - expect) ** 2 / expect for k in itertools.permutations(range(N)))
+    assert len(counts) <= 6 and chi2 < UNIFORM_BOUND, f"chi2 = {chi2:.1f} on 5 degrees of freedom: {counts}"
+
+
+def _sinkhorn_dags(scores, logits, seed):
+    model = DpDagModel(
+        n=N,
+        edge_params=EdgeParams(n=N, logits=logits),
+        perm_params=PermutationParams(n=N, mode=SINKHORN, scores=scores),
+    )
+    noise = GumbelSource(seed)
+    return [sample_dag(model, noise)[0].entries for _ in range(SINKHORN_DRAWS)]
+
+
+def test_relabelling_the_nodes_relabels_the_sinkhorn_dag_law():
+    # node v of the relabelled model is node sigma[v] of the original: a
+    # 3-cycle, so a map confused with its inverse shows
+    sigma = np.array([1, 2, 0])
+    scores = np.array([[1.2, -0.4, 0.3], [-0.9, 0.8, 0.1], [0.5, -1.1, -0.2]])
+    original = _sinkhorn_dags(scores, LOGITS, 404)
+    relabelled = _sinkhorn_dags(scores[:, sigma], LOGITS[np.ix_(sigma, sigma)], 505)
+    a, b = {}, {}
+    for entries in original:
+        k = _key(entries[np.ix_(sigma, sigma)])
+        a[k] = a.get(k, 0) + 1
+    for entries in relabelled:
+        b[_key(entries)] = b.get(_key(entries), 0) + 1
+    # two equal samples: sum (a - b)^2 / (a + b) is chi-square on one fewer
+    # degrees of freedom than there are cells, at most 24
+    chi2 = sum((a.get(k, 0) - b.get(k, 0)) ** 2 / (a.get(k, 0) + b.get(k, 0)) for k in set(a) | set(b))
+    assert chi2 < CHI2_BOUND, f"chi2 = {chi2:.1f} over {len(set(a) | set(b))} cells"
