@@ -8,13 +8,27 @@ from diffdag import autodiff as ad
 from diffdag.autodiff import Tape, Tensor
 
 
+def numpy_build() -> dict:
+    """numpy's version, its BLAS's name and version, and the SIMD targets
+    numpy dispatches to on this CPU: what seeded bits may depend on besides
+    the code (the golden digests hold for one such build)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "simd": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
+    }
+
+
 def pytest_report_header(config):
     """numpy's version, its BLAS and the BLAS thread settings: generated
     data, and with it the data-based acceptance criteria, depend on the
     BLAS thread count."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    build = numpy_build()
     threads = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    return f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}, {threads}"
+    return f"numpy {build['numpy']}, BLAS {build['blas']}, {threads}"
 
 
 # Test-local tape ops that the library no longer needs: a sum readout for
