@@ -31,6 +31,7 @@ from .autodiff import Tensor
 from .graphs import AdjacencyMatrix, strict_upper_mask
 from .gumbel import (
     SINKHORN,
+    SINKHORN_ITERS,
     TOPK,
     EdgeParams,
     GumbelSource,
@@ -84,7 +85,7 @@ class DpDagModel:
         n: int,
         perm_mode: str = TOPK,
         temperature: float = 1.0,
-        sinkhorn_iters: int = 20,
+        sinkhorn_iters: int = SINKHORN_ITERS,
     ) -> "DpDagModel":
         """Fresh model with zero logits/scores (uniform edges, uniform order)."""
         return cls(

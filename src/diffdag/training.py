@@ -28,7 +28,7 @@ from . import autodiff as ad
 from ._checks import check_count, check_real, check_scale
 from .autodiff import Tape, Tensor
 from .graphs import AdjacencyMatrix
-from .gumbel import SINKHORN, TOPK, GumbelSource, _sigmoid_np
+from .gumbel import SINKHORN, SINKHORN_ITERS, TOPK, GumbelSource, _sigmoid_np
 from .model import DpDagModel, _directed_scores, _finite_array, sample_dag, sample_dag_parts, threshold_dag
 from .semdata import SemDataset
 
@@ -65,7 +65,7 @@ class TrainConfig:
     patience: int = 10
     val_check_every: int = 2
     seed: int = 0
-    sinkhorn_iters: int = 20
+    sinkhorn_iters: int = SINKHORN_ITERS
 
     def __post_init__(self):
         for name in ("hidden", "sinkhorn_iters", "batch_size", "max_epochs", "patience", "val_check_every"):
