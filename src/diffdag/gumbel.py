@@ -3,7 +3,9 @@
 Edges use the binary Gumbel-Softmax (binary Concrete) relaxation with one
 uniform per pair: ``soft = sigmoid((logits + L) / tau)``, where
 ``L = log(u) - log1p(-u)`` is Logistic(0, 1), the law of the difference of
-two iid Gumbel(0, 1) variables. Permutations come in two
+two iid Gumbel(0, 1) variables. The hard edge is on exactly when ``logits +
+L > 0``, with probability ``sigmoid(logits)`` at any temperature; ``tau``
+shapes only the soft output. Permutations come in two
 flavours, which :func:`sample_permutation` picks by ``params.mode``: a
 doubly-stochastic relaxation (Sinkhorn iteration, one log-space round and
 then matrix scaling ``diag(r) K diag(c)``, two matrix-vector products a
@@ -186,61 +188,41 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-# Above this, sigmoid(v) rounds strictly above 1/2; see _edge_rule.
-_EDGE_BAND = 1e-15
-
-
-def _edge_rule(v: np.ndarray) -> np.ndarray:
-    """``sigmoid(v) > 0.5`` exactly, as a bool array, without the full sigmoid.
-
-    At or below 0 the sigmoid never exceeds 1/2, and above ``_EDGE_BAND`` it
-    always does. Inside ``0 < v <= _EDGE_BAND``, ``exp(-v)`` may round to 1
-    and the sigmoid to exactly 1/2, so those entries alone take the sigmoid.
-    """
-    on = v > _EDGE_BAND
-    band = v > 0
-    band ^= on
-    if band.any():
-        on[band] = _sigmoid_np(v[band]) > 0.5
-    return on
-
-
-def _scaled_logits(params: EdgeParams, noise: GumbelSource | None) -> np.ndarray:
-    """``(logits + L) / tau`` with ``L`` the source's logistic noise, one
-    uniform per pair, or ``logits / tau`` without noise: the argument of the
-    edge sigmoid, in a fresh array."""
+def _edge_values(params: EdgeParams, noise: GumbelSource | None) -> np.ndarray:
+    """``logits + L`` with ``L`` the source's logistic noise, one uniform per
+    pair, in a fresh array; without noise, the logits themselves, read-only.
+    An edge is on exactly where this is > 0."""
     if noise is None:
-        return params.logits.value * (1.0 / params.temperature)
+        return params.logits.value
     v = noise.logistic((params.n, params.n))
     v += params.logits.value
-    v *= 1.0 / params.temperature
     return v
 
 
 def sample_edges(params: EdgeParams, noise: GumbelSource | None = None) -> tuple[np.ndarray, Tensor]:
     """Sample all n*n candidate edges at once.
 
-    Returns ``(hard, soft)``: a detached binary matrix (1 where soft > 0.5)
-    and the relaxed sigmoid tensor. A noisy draw takes n*n uniforms of
-    ``noise``, one logistic value per pair; noise-free mode drops the noise
-    and is deterministic. Under a tape the soft output records one
-    ``"edges"`` node on the logits.
+    Returns ``(hard, soft)``: a detached binary matrix, 1 where ``logits + L
+    > 0``, and the relaxed ``sigmoid((logits + L) / tau)`` tensor. A noisy
+    draw takes n*n uniforms of ``noise``, one logistic value ``L`` per pair;
+    noise-free mode drops the noise and is deterministic. Under a tape the
+    soft output records one ``"edges"`` node on the logits.
     """
-    v = _scaled_logits(params, noise)
-    s = _sigmoid_np(v)
+    v = _edge_values(params, noise)
     inv_tau = 1.0 / params.temperature
+    s = _sigmoid_np(v * inv_tau)
 
     def bw(g, node):
         s = node.output.value
         return ((g * s * (1.0 - s)) * inv_tau,)
 
-    return _edge_rule(v).astype(np.float64), ad._record("edges", (params.logits,), s, bw)
+    return (v > 0).astype(np.float64), ad._record("edges", (params.logits,), s, bw)
 
 
 def _hard_edges(params: EdgeParams, noise: GumbelSource | None = None) -> np.ndarray:
     """The hard draw of :func:`sample_edges` alone, as a bool array: the same
-    noise and arithmetic, no sigmoid and no tape node."""
-    return _edge_rule(_scaled_logits(params, noise))
+    noise and sign test, no sigmoid, no temperature and no tape node."""
+    return _edge_values(params, noise) > 0
 
 
 def sinkhorn_operator(m, iters: int = 500, tau: float = 1.0, tol: float = SINKHORN_TOL) -> Tensor:

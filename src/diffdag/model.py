@@ -13,9 +13,9 @@ the samplers' own; see :func:`sample_dag_parts`.
 
 With no tape active and ``relaxed`` off, a draw computes only the hard
 sample: the ranking of the perturbed scores (or the assignment of their
-Sinkhorn relaxation), the exact edge rule ``sigmoid(v) > 0.5`` and the order
-mask, from the same noise in the same order as a taped draw, so both give
-the same hard sample.
+Sinkhorn relaxation), the edge rule ``logits + L > 0`` and the order mask,
+from the same noise in the same order as a taped draw, so both give the
+same hard sample.
 """
 
 from __future__ import annotations

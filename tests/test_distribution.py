@@ -8,8 +8,9 @@ temperature. At n = 3 that gives the probability of each of the 25 DAGs in
 closed form, and a chi-square test compares the value-only draws with it.
 
 A wrong sign on the score noise, or a temperature that reaches the hard edge
-rule other than through the sign of ``(logit + L) / tau``, changes the law
-and fails these tests. A sign flip of the edge noise does not: the logistic
+rule at all, changes the law and fails these tests: the rule is the sign of
+``logit + L``, and a rule that rounds ``sigmoid((logit + L) / tau)`` instead
+turns edges off once ``tau`` is near 1e16. A sign flip of the edge noise does not: the logistic
 law is symmetric, so no test of the law can see it.
 
 Sinkhorn mode has no closed form, so its tests check the law's symmetries.
@@ -26,11 +27,13 @@ neither: with continuous noise the best assignment is unique, so no test
 of the law can see its tie rule.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
 import pytest
 
+from diffdag.autodiff import Tape
 from diffdag.gumbel import SINKHORN, TOPK, EdgeParams, GumbelSource, PermutationParams, _hard_edges, _hard_permutation
 from diffdag.model import DpDagModel, sample_dag
 
@@ -107,7 +110,7 @@ def test_topk_dag_law_at_n3(tau):
     assert chi2 < CHI2_BOUND, f"chi2 = {chi2:.1f} on 24 degrees of freedom at tau = {tau}"
 
 
-@pytest.mark.parametrize("tau", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("tau", [0.3, 1.0, 3.0, 1e16, 1e17])
 def test_edge_marginals_are_sigmoid_of_the_logits(tau):
     n, draws = 40, 25
     logits = np.where(np.indices((n, n)).sum(axis=0) % 2 == 0, 2.0, -2.0)
@@ -119,6 +122,18 @@ def test_edge_marginals_are_sigmoid_of_the_logits(tau):
         freq = on[logits == logit].sum() / trials
         z = (freq - p) / np.sqrt(p * (1.0 - p) / trials)
         assert abs(z) < 4.5, f"logit {logit}, tau {tau}: frequency {freq:.4f} against {p:.4f} (z = {z:.1f})"
+
+
+@pytest.mark.parametrize("mode", [SINKHORN, TOPK])
+@pytest.mark.parametrize("taped", [False, True])
+def test_zero_logit_dags_keep_half_the_allowed_pairs_at_any_temperature(mode, taped):
+    n = 100
+    model = DpDagModel.create(n, perm_mode=mode, temperature=1e17)
+    allowed = n * (n - 1) // 2
+    with Tape() if taped else contextlib.nullcontext():
+        edges = sample_dag(model, GumbelSource(404))[0].edge_count()
+    z = (edges - allowed / 2) / np.sqrt(allowed / 4)
+    assert abs(z) < 4.5, f"{edges} edges of {allowed} allowed pairs (z = {z:.1f})"
 
 
 # the 99.99th percentile of chi-square on 5 degrees of freedom is about 25.7

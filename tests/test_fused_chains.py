@@ -28,7 +28,6 @@ from diffdag.gumbel import (
     EdgeParams,
     GumbelSource,
     PermutationParams,
-    _edge_rule,
     hungarian,
     sample_permutation,
     sinkhorn_operator,
@@ -91,7 +90,7 @@ def _reference_draw(model, noise, relaxed):
     if noise is not None:
         z = add(z, Tensor(_logistic_noise(noise, (n, n))))
     v = mul(z, Tensor(1.0 / model.edge_params.temperature))
-    e_hard, e_soft = _edge_rule(v.value).astype(np.float64), _sigmoid(v)
+    e_hard, e_soft = (z.value > 0).astype(np.float64), _sigmoid(v)
     hard_mask = _order_mask(p_hard.perm)
     hard_entries = e_hard * hard_mask
     soft_mask = matmul(matmul(transpose(p_soft), Tensor(strict_upper_mask(n))), p_soft)

@@ -19,7 +19,7 @@ from diffdag.gumbel import (
     GumbelSource,
     ParameterError,
     PermutationParams,
-    _edge_rule,
+    _hard_edges,
     _sigmoid_np,
     _sums_near_one,
     hungarian,
@@ -142,16 +142,30 @@ class TestSampleEdges:
 _SIGMOID_CROSSING = 1.5612511283791264e-16
 
 
+def _logistic_replay(seed, shape):
+    """The logistic noise a fresh ``GumbelSource(seed)`` draws first."""
+    u = np.clip(np.random.Generator(np.random.Philox(seed)).random(shape), _U_EPS, 1.0 - _U_EPS)
+    return np.log(u) - np.log1p(-u)
+
+
 class TestEdgeRule:
-    def test_matches_sigmoid_on_the_band_and_beyond(self):
+    @pytest.mark.parametrize("tau", [1.0, 1e-3, 1e17])
+    def test_hard_is_the_sign_of_logits_plus_noise_on_the_band_and_beyond(self, tau):
         c, x = _SIGMOID_CROSSING, 1.56e-16
         special = [np.nextafter(0.0, 1.0), x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
         special += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), 1e-15, np.nextafter(1e-15, 1.0)]
         special += [0.0, -0.0, 1e300, -1e300, -np.nextafter(0.0, 1.0), 5e-324 * 2**40]
         v = np.concatenate([special, np.geomspace(1e-17, 1e-15, 4000), -np.geomspace(1e-17, 1e-15, 50)])
-        np.testing.assert_array_equal(_edge_rule(v), _sigmoid_np(v) > 0.5)
-        # a bare v > 0 would switch on below the crossing
-        assert not _edge_rule(np.array([np.nextafter(c, 0.0)]))[0] and _edge_rule(np.array([c]))[0]
+        logits = np.concatenate([v, np.zeros(64 * 64 - v.size)]).reshape(64, 64)
+        params = EdgeParams(n=64, logits=logits, temperature=tau)
+        for noise, z in ((None, logits), (GumbelSource(5), logits + _logistic_replay(5, (64, 64)))):
+            hard, soft = sample_edges(params, noise)
+            np.testing.assert_array_equal(hard, (z > 0).astype(np.float64))
+        np.testing.assert_array_equal(_hard_edges(params), logits > 0)
+        np.testing.assert_array_equal(_hard_edges(params, GumbelSource(5)), z > 0)
+        # below the crossing at tau = 1 the edge is on though its sigmoid rounds to 1/2
+        hard, soft = sample_edges(EdgeParams(n=1, logits=[[np.nextafter(c, 0.0)]]))
+        assert hard[0, 0] == 1.0 and soft.value[0, 0] == 0.5
 
     def test_sigmoid_matches_the_two_branch_form(self, rng):
         special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 745.0, -745.0, 800.0, -800.0, np.nan]
@@ -163,12 +177,19 @@ class TestEdgeRule:
         ref[~pos] = e / (1.0 + e)
         np.testing.assert_array_equal(_sigmoid_np(v), ref)
 
-    def test_sample_edges_hard_is_the_rule_on_its_soft_value(self, rng):
-        band = [1e-16, 2e-16, 3e-16, 4e-16, _SIGMOID_CROSSING, 0.0, -0.0, 1e-300, -1e-16]
-        logits = np.concatenate([rng.normal(size=7), band]).reshape(4, 4)
-        for tau in (1.0, 0.5, 3.0):
-            hard, soft = sample_edges(EdgeParams(n=4, logits=logits, temperature=tau))
-            np.testing.assert_array_equal(hard, (soft.value > 0.5).astype(np.float64))
+    @pytest.mark.parametrize("tau", [1.0, 0.5, 3.0, 1e16, 1e17])
+    def test_sample_edges_hard_is_its_soft_value_rounded_outside_the_band(self, rng, tau):
+        # where |logits + L| > 1e-15 * tau, sigmoid((logits + L) / tau) cannot round to 1/2
+        band = np.array([1e-16, 2e-16, 3e-16, 4e-16, _SIGMOID_CROSSING, 0.0, -0.0, 1e-300, -1e-16])
+        wide = [1e-15, -1e-15, 2e-15, 1e-14]
+        logits = np.concatenate([rng.normal(size=7), band, tau * rng.normal(size=7), tau * band, wide]).reshape(6, 6)
+        params = EdgeParams(n=6, logits=logits, temperature=tau)
+        for noise, z in ((None, logits), (GumbelSource(9), logits + _logistic_replay(9, (6, 6)))):
+            hard, soft = sample_edges(params, noise)
+            np.testing.assert_array_equal(hard, (z > 0).astype(np.float64))
+            away = np.abs(z) > 1e-15 * tau
+            assert away.sum() >= 7
+            np.testing.assert_array_equal(hard[away], (soft.value[away] > 0.5).astype(np.float64))
 
 
 class TestSinkhorn:
