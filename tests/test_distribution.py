@@ -10,8 +10,8 @@ closed form, and a chi-square test compares the value-only draws with it.
 A wrong sign on the score noise, or a temperature that reaches the hard edge
 rule at all, changes the law and fails these tests: the rule is the sign of
 ``logit + L``, and a rule that rounds ``sigmoid((logit + L) / tau)`` instead
-turns edges off once ``tau`` is near 1e16. A sign flip of the edge noise does not: the logistic
-law is symmetric, so no test of the law can see it.
+turns edges off once ``tau`` is near 1e16. A sign flip of the edge noise
+does not: the logistic law is symmetric, so no test of the law can see it.
 
 Sinkhorn mode has no closed form, so its tests check the law's symmetries.
 The score matrix's rows index positions and its columns nodes (the hard
