@@ -1,6 +1,6 @@
-"""The rule for the counts, seeds, scales and other real numbers a caller
-passes in. Each check raises ``error`` with a message that starts with the
-parameter's name."""
+"""The rule for the counts, seeds, scales, real numbers and named choices a
+caller passes in, and for two node counts that must agree. Each check raises
+``error`` with a message that starts with the parameter's name."""
 
 import math
 
@@ -35,3 +35,15 @@ def check_scale(name: str, v, error: type[Exception] = ValueError) -> None:
     # NaN fails v > 0 but would pass a bare v <= 0 check
     if not (_finite_real(v) and v > 0):
         raise error(f"{name} must be finite and positive, got {v!r}")
+
+
+def check_choice(name: str, v, choices: tuple[str, ...], error: type[Exception] = ValueError) -> None:
+    """``v`` must be a ``str`` equal to one of ``choices``, case included."""
+    if not (isinstance(v, str) and v in choices):
+        raise error(f"{name} must be {' or '.join(map(repr, choices))}, got {v!r}")
+
+
+def check_same_n(what: str, n: int, other: str, m: int) -> None:
+    """``what``, on ``n`` nodes, and ``other``, on ``m``, must agree."""
+    if n != m:
+        raise ValueError(f"node counts differ: {what} has {n}, {other} has {m}")

@@ -30,11 +30,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
+from ._checks import check_choice, check_same_n
 from .graphs import load_edge_list
-from .gumbel import SINKHORN, TOPK
+from .gumbel import PERM_MODES, TOPK
 from .metrics import bench_sampling, mechanism_mse, shd, structure_aucs
 from .model import DpDagModel, load_checkpoint, save_checkpoint, threshold_dag
-from .semdata import GenSpec, gen_graph, generate, load_dataset, save_dataset
+from .semdata import GRAPH_KINDS, GenSpec, gen_graph, generate, load_dataset, save_dataset
 from .training import DivergenceError, MechanismNet, TrainConfig, fit, fit_direct, predict
 
 OUT_ENV = "DIFFDAG_OUT"
@@ -122,12 +123,13 @@ def _size_list(text: str) -> list[int]:
     return _nonempty([_int_at_least(2)(t) for t in text.split(",") if t], text)
 
 
+def _perm_mode(text: str) -> str:
+    check_choice("perm_mode", text, PERM_MODES, argparse.ArgumentTypeError)
+    return text
+
+
 def _mode_list(text: str) -> list[str]:
-    modes = [t.strip().lower() for t in text.split(",") if t.strip()]
-    for m in modes:
-        if m not in (SINKHORN, TOPK):
-            raise argparse.ArgumentTypeError(f"unknown permutation mode {m!r}")
-    return _nonempty(modes, text)
+    return _nonempty([_perm_mode(t.strip()) for t in text.split(",") if t.strip()], text)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +203,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.checkpoint} carries no mechanism weights; train first")
     mechanisms = MechanismNet.from_state(extras["mechanisms"])
     for what, n in (("model", model.n), ("mechanisms", mechanisms.n)):
-        if n != dataset.n:
-            raise ValueError(f"node counts differ: {args.checkpoint} {what} has {n}, {dataset.name} has {dataset.n}")
+        check_same_n(f"{args.checkpoint} {what}", n, dataset.name, dataset.n)
     gt_dag = bool(extras.get("gt_dag"))
     row: dict = {"dataset": dataset.name, "seed": extras.get("train_config", {}).get("seed")}
     if gt_dag:
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate synthetic SEM datasets")
     about = "each sets a GenSpec field; one left out keeps the field's default"
     g = p.add_argument_group("dataset", about, argument_default=argparse.SUPPRESS)
-    g.add_argument("--kind", dest="graph_kind", choices=["er", "sf"], required=True)
+    g.add_argument("--kind", dest="graph_kind", required=True, help=" or ".join(GRAPH_KINDS))
     g.add_argument("--n", type=int, required=True, help="node count")
     g.add_argument("--m", type=int, required=True, help="edge count")
     g.add_argument("--samples", dest="N", type=int, help="observations per dataset")
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--lr", dest="learning_rate", type=float)
         g.add_argument("--hidden", type=int)
         if not swept:
-            g.add_argument("--perm-mode", choices=[SINKHORN, TOPK])
+            g.add_argument("--perm-mode", help=" or ".join(PERM_MODES))
             g.add_argument("--prior", dest="prior_p", type=float)
             g.add_argument("--lam", type=float)
         g.add_argument("--tau", dest="temperature", type=float)
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sampling-time sweep over graph sizes")
     p.add_argument("--sizes", type=_size_list, default=[10, 25, 50, 100, 200])
-    p.add_argument("--modes", type=_mode_list, default=[SINKHORN, TOPK])
+    p.add_argument("--modes", type=_mode_list, default=list(PERM_MODES))
     p.add_argument("--reps", type=_positive_int, default=30)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
@@ -388,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("direct", help="fit the sampler against observed target DAGs")
     p.add_argument("--truth", default=None, help="edge-list file; otherwise generate graphs")
-    p.add_argument("--kind", choices=["er", "sf"], default="er")
+    p.add_argument("--kind", default="er", help=" or ".join(GRAPH_KINDS))
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--graphs", type=_positive_int, default=10, help="number of generated target graphs")
     p.add_argument("--first-seed", type=int, default=0)
-    p.add_argument("--perm-mode", choices=[SINKHORN, TOPK], default=TOPK)
+    p.add_argument("--perm-mode", type=_perm_mode, default=TOPK, help=" or ".join(PERM_MODES))
     p.add_argument("--lrs", type=_float_list, default=[1.0, 0.1, 0.01, 0.001])
     p.add_argument("--steps", type=int, default=600)
     p.add_argument("--seed", type=_seed, default=0)
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="grid search over mode x prior x lambda on one dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--modes", type=_mode_list, default=[SINKHORN, TOPK])
+    p.add_argument("--modes", type=_mode_list, default=list(PERM_MODES))
     p.add_argument("--priors", type=_float_list, default=[0.01, 0.05, 0.1])
     p.add_argument("--lams", type=_float_list, default=[0.0, 0.01, 0.1])
     p.add_argument("--workers", type=_positive_int, default=1)

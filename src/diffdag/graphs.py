@@ -56,8 +56,8 @@ class AdjacencyMatrix:
 
     ``validate=True`` checks input from outside: a square 0/1 matrix with a
     zero diagonal and no cycle. ``validate=False`` means the caller built a
-    square 0/1 int8 DAG itself, so nothing is checked. Either way the object
-    holds its own read-only copy.
+    square 0/1 (or bool) DAG itself, so nothing is checked. Either way the
+    object holds its own read-only int8 copy.
     """
 
     __slots__ = ("n", "entries")
@@ -182,11 +182,8 @@ def _kahn_order(m: np.ndarray) -> np.ndarray:
 
 
 def is_acyclic(entries) -> bool:
-    """True iff Kahn's sort consumes all nodes."""
-    m = _as_binary_square(entries)
-    if np.diagonal(m).any():
-        return False
-    return bool((_kahn_order(m) >= 0).all())
+    """True iff ``entries`` has no directed cycle, self-loops included."""
+    return find_cycle(entries) is None
 
 
 def find_cycle(entries):

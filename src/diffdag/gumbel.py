@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ._checks import check_count, check_real, check_scale
+from ._checks import check_choice, check_count, check_real, check_scale
 from .autodiff import Tensor
 from .graphs import PermutationMatrix
 
@@ -40,6 +40,7 @@ __all__ = [
     "PermutationParams",
     "SINKHORN",
     "TOPK",
+    "PERM_MODES",
     "sample_edges",
     "sinkhorn_operator",
     "hungarian",
@@ -49,6 +50,7 @@ __all__ = [
 
 SINKHORN = "sinkhorn"
 TOPK = "topk"
+PERM_MODES = (SINKHORN, TOPK)
 
 # Uniform draws are clamped away from {0, 1} so -log(-log(u)) and
 # log(u) - log1p(-u) stay finite; the logistic noise is then within +-27.64.
@@ -149,8 +151,7 @@ class PermutationParams:
         check_count("n", self.n, 0, ParameterError)
         check_scale("temperature", self.temperature, ParameterError)
         check_count("sinkhorn_iters", self.sinkhorn_iters, 1, ParameterError)
-        if self.mode not in (SINKHORN, TOPK):
-            raise ParameterError(f"mode must be {SINKHORN!r} or {TOPK!r}, got {self.mode!r}")
+        check_choice("mode", self.mode, PERM_MODES, ParameterError)
         want = (self.n, self.n) if self.mode == SINKHORN else (self.n, 1)
         if self.scores is None:
             self.scores = Tensor(np.zeros(want), requires_grad=True)
@@ -160,9 +161,7 @@ class PermutationParams:
             if self.scores.value.ndim == 1:
                 self.scores = Tensor(self.scores.value.reshape(-1, 1), requires_grad=self.scores.requires_grad)
         if self.scores.value.shape != want:
-            raise ParameterError(
-                f"{self.mode} scores must have shape {want}, got {self.scores.value.shape}"
-            )
+            raise ParameterError(f"{self.mode} scores must have shape {want}, got {self.scores.value.shape}")
 
 
 def _lse(a: np.ndarray, axis: int, e: np.ndarray) -> np.ndarray:
@@ -492,9 +491,9 @@ def _softsort(s: Tensor, v: np.ndarray, tau: float) -> Tensor:
     """:func:`softsort` of the (n, 1) column ``v``, recorded on ``s``; ``v``
     is ``s.value`` or ``s.value`` plus a constant, so the adjoints agree."""
     order = np.argsort(-v.ravel(), kind="stable")
-    diff = v[order] - v.T  # row i: the i-th largest score minus every score
+    diff = v[order] - v.T  # row i: the i-th largest score minus every score, itself included
     x = np.abs(diff) * (-1.0 / tau)
-    e = np.exp(x - x.max(axis=1, keepdims=True, initial=-np.inf))
+    e = np.exp(x)  # each row's maximum is its own 0, so a max-shift would subtract 0
     p = e / e.sum(axis=1, keepdims=True)
 
     def bw(g, node):

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from ._checks import check_count
+from ._checks import check_count, check_same_n
 from .graphs import AdjacencyMatrix
 from .gumbel import GumbelSource
 from .model import DpDagModel, edge_scores, sample_dag
@@ -94,15 +94,10 @@ def undirected_pairs(score_matrix: np.ndarray, truth: AdjacencyMatrix):
     return scores, labels
 
 
-def _check_nodes(model: DpDagModel, truth: AdjacencyMatrix) -> None:
-    if model.n != truth.n:
-        raise ValueError(f"node counts differ: model has {model.n}, truth has {truth.n}")
-
-
 def structure_aucs(model: DpDagModel, truth: AdjacencyMatrix) -> dict:
     """The four threshold-free structure numbers for a trained model; a
     ``truth`` on another number of nodes raises ``ValueError``."""
-    _check_nodes(model, truth)
+    check_same_n("model", model.n, "truth", truth.n)
     directed, _ = edge_scores(model)
     ds, dl = directed_pairs(directed, truth)
     us, ul = undirected_pairs(directed, truth)
@@ -116,8 +111,7 @@ def structure_aucs(model: DpDagModel, truth: AdjacencyMatrix) -> dict:
 
 def shd(pred: AdjacencyMatrix, truth: AdjacencyMatrix) -> int:
     """Edge insertions + deletions + reversals (a reversed pair counts 1)."""
-    if pred.n != truth.n:
-        raise ValueError(f"node counts differ: {pred.n} vs {truth.n}")
+    check_same_n("pred", pred.n, "truth", truth.n)
     p, t = pred.entries, truth.entries
     iu = np.triu_indices(pred.n, k=1)
     p_fwd, p_bwd = p[iu], p.T[iu]
@@ -158,7 +152,7 @@ def perturbation_confidence(
     check_count("k_moved", k_moved, 0)
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)
-    _check_nodes(model, truth)
+    check_same_n("model", model.n, "truth", truth.n)
     edges = np.argwhere(truth.entries == 1)
     if k_moved > edges.shape[0]:
         raise ValueError(f"cannot move {k_moved} edges, graph has {edges.shape[0]}")

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ._checks import check_count, check_scale
+from ._checks import check_choice, check_count, check_real, check_scale
 from .autodiff import Tensor
 from .graphs import AdjacencyMatrix, strict_upper_mask
 from .gumbel import (
-    SINKHORN,
+    PERM_MODES,
     SINKHORN_ITERS,
     TOPK,
     EdgeParams,
@@ -88,12 +88,11 @@ class DpDagModel:
         sinkhorn_iters: int = SINKHORN_ITERS,
     ) -> "DpDagModel":
         """Fresh model with zero logits/scores (uniform edges, uniform order)."""
+        check_choice("perm_mode", perm_mode, PERM_MODES, ParameterError)
         return cls(
             n=n,
             edge_params=EdgeParams(n=n, temperature=temperature),
-            perm_params=PermutationParams(
-                n=n, mode=perm_mode, temperature=temperature, sinkhorn_iters=sinkhorn_iters
-            ),
+            perm_params=PermutationParams(n=n, mode=perm_mode, temperature=temperature, sinkhorn_iters=sinkhorn_iters),
         )
 
     def parameters(self) -> list[Tensor]:
@@ -171,13 +170,13 @@ def sample_dag_parts(
     if not relaxed and ad._active_tape() is None:
         hard_mask = _order_mask(_hard_permutation(model.perm_params, noise).perm)
         hard_entries = _hard_edges(model.edge_params, noise) & hard_mask
-        hard = AdjacencyMatrix(hard_entries.astype(np.int8), validate=False)
+        hard = AdjacencyMatrix(hard_entries, validate=False)
         return DagSample(hard=hard, soft=Tensor(hard_entries), mask=Tensor(hard_mask))
     p_hard, p_soft = sample_permutation(model.perm_params, noise)
     e_hard, e_soft = sample_edges(model.edge_params, noise)
     hard_mask = _order_mask(p_hard.perm)
     hard_entries = e_hard * hard_mask
-    hard = AdjacencyMatrix(hard_entries.astype(np.int8), validate=False)
+    hard = AdjacencyMatrix(hard_entries, validate=False)
     mask, soft_mask = _order_mask_node(p_soft, None if relaxed else hard_mask)
     adj = _dag_node(e_soft, mask, soft_mask, None if relaxed else hard_entries)
     return DagSample(hard=hard, soft=adj, mask=mask)
@@ -211,10 +210,11 @@ def edge_scores(model: DpDagModel) -> tuple[np.ndarray, np.ndarray]:
 
 def threshold_dag(model: DpDagModel, t: float = 0.5) -> AdjacencyMatrix:
     """Keep the allowed edges whose probability strictly exceeds ``t``."""
+    check_real("threshold", t, ParameterError)
     if not (0.0 < t < 1.0):
         raise ParameterError(f"threshold must lie strictly inside (0, 1), got {t}")
     directed, _ = edge_scores(model)
-    return AdjacencyMatrix((directed > t).astype(np.int8), validate=False)
+    return AdjacencyMatrix(directed > t, validate=False)
 
 
 def save_checkpoint(model: DpDagModel, path, extras: dict | None = None) -> None:
@@ -251,12 +251,12 @@ def _finite_array(value, what: str, shape: tuple[int, ...] | None = None) -> np.
 
 
 def load_checkpoint(path) -> tuple[DpDagModel, dict]:
-    """Inverse of :func:`save_checkpoint`. A missing key, a ``perm_mode``
-    that is not a string, an ``n`` that is not an integer >= 0, or a sampler
-    array that is not numeric or holds a non-finite value raises ValueError
-    naming the key; a ``sinkhorn_iters`` that is not an integer >= 1 or a
-    temperature that is not finite and positive raises ``ParameterError``
-    naming the key."""
+    """Inverse of :func:`save_checkpoint`. A missing key, an ``n`` that is
+    not an integer >= 0, or a sampler array that is not numeric or holds a
+    non-finite value raises ValueError naming the key; a ``perm_mode`` that
+    is not one of ``PERM_MODES``, a ``sinkhorn_iters`` that is not an integer
+    >= 1 or a temperature that is not finite and positive raises
+    ``ParameterError`` naming the key."""
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
@@ -266,8 +266,7 @@ def load_checkpoint(path) -> tuple[DpDagModel, dict]:
     for key in ("n", "perm_mode", "temperature", "sinkhorn_iters", "edge_logits", "perm_scores"):
         if key not in blob:
             raise ValueError(f"{path}: missing key {key!r}")
-    if not isinstance(blob["perm_mode"], str):
-        raise ValueError(f"{path}: perm_mode must be a string, got {blob['perm_mode']!r}")
+    check_choice(f"{path}: perm_mode", blob["perm_mode"], PERM_MODES, ParameterError)
     check_count(f"{path}: n", blob["n"], 0)
     check_count(f"{path}: sinkhorn_iters", blob["sinkhorn_iters"], 1, ParameterError)
     check_scale(f"{path}: temperature", blob["temperature"], ParameterError)

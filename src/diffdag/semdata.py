@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._checks import check_count, check_scale
+from ._checks import check_choice, check_count, check_scale
 from .graphs import AdjacencyMatrix, decompose, load_edge_list, save_edge_list
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 
 ER = "er"
 SF = "sf"
+GRAPH_KINDS = (ER, SF)
 
 
 class GenerationError(RuntimeError):
@@ -63,16 +64,14 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.graph_kind, str) or self.graph_kind.lower() not in (ER, SF):
-            raise ValueError(f"graph_kind must be {ER!r} or {SF!r}, got {self.graph_kind!r}")
-        self.graph_kind = self.graph_kind.lower()
+        check_choice("graph_kind", self.graph_kind, GRAPH_KINDS)
         for name, least in (("n", 2), ("m", 1), ("N", 3), ("seed", 0)):
             check_count(name, getattr(self, name), least)
         check_scale("noise_std", self.noise_std)
         check_scale("root_std", self.root_std)
         max_edges = self.n * (self.n - 1) // 2
-        if self.graph_kind == ER and self.m > max_edges:
-            raise ValueError(f"er edge count must lie in 1..{max_edges}, got {self.m}")
+        if self.m > max_edges:  # both kinds: sf would attach round(m / n) >= n edges a node, none
+            raise ValueError(f"m must be an edge count in 1..{max_edges} for n = {self.n}, got {self.m}")
 
     @property
     def name(self) -> str:

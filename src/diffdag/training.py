@@ -25,10 +25,10 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from ._checks import check_count, check_real, check_scale
+from ._checks import check_choice, check_count, check_real, check_same_n, check_scale
 from .autodiff import Tape, Tensor
 from .graphs import AdjacencyMatrix
-from .gumbel import SINKHORN, SINKHORN_ITERS, TOPK, GumbelSource, _sigmoid_np
+from .gumbel import PERM_MODES, SINKHORN_ITERS, TOPK, GumbelSource, _sigmoid_np
 from .model import DpDagModel, _directed_scores, _finite_array, sample_dag, sample_dag_parts, threshold_dag
 from .semdata import SemDataset
 
@@ -73,8 +73,7 @@ class TrainConfig:
         check_count("seed", self.seed, 0)
         check_scale("learning_rate", self.learning_rate)
         check_scale("temperature", self.temperature)
-        if self.perm_mode not in (SINKHORN, TOPK):
-            raise ValueError(f"perm_mode must be {SINKHORN!r} or {TOPK!r}, got {self.perm_mode!r}")
+        check_choice("perm_mode", self.perm_mode, PERM_MODES)
         check_real("prior_p", self.prior_p)
         check_real("lam", self.lam)
         if not (1e-2 <= self.prior_p <= 1e-1):
@@ -498,8 +497,7 @@ def fit_direct(
     """
     check_scale("lr", lr)  # lr <= 0 would ascend the loss or not move
     check_count("steps", steps, 0)
-    if truth.n != model.n:
-        raise ValueError(f"node counts differ: model has {model.n}, truth has {truth.n}")
+    check_same_n("model", model.n, "truth", truth.n)
     noise = GumbelSource(seed)
     target = Tensor(truth.entries.astype(np.float64))
     opt = Adam(model.parameters(), lr=lr)

@@ -1,12 +1,15 @@
-"""The count, seed and scale rule at every entry point that takes one.
+"""The count, seed, scale and choice rules at every entry point that takes one.
 
 A count is an ``int`` or a numpy integer, never a ``bool``, and at least the
 parameter's minimum; a scale is a real number, never a ``bool`` or a string,
-finite and positive. Each entry point rejects anything else before any work,
-with its own exception class and a message that starts with the parameter's
-name, and accepts Python and numpy integers at or above the minimum.
+finite and positive; a permutation mode or graph kind is a string equal to
+one of ``PERM_MODES`` or ``GRAPH_KINDS``, case included. Each entry point
+rejects anything else before any work, with its own exception class and a
+message that starts with the parameter's name, and accepts Python and numpy
+integers at or above the minimum.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffdag.cli import main
 from diffdag.graphs import AdjacencyMatrix
 from diffdag.gumbel import (
     TOPK,
@@ -26,7 +30,7 @@ from diffdag.gumbel import (
     softsort,
 )
 from diffdag.metrics import bench_sampling, perturbation_confidence
-from diffdag.model import DpDagModel
+from diffdag.model import DpDagModel, load_checkpoint, save_checkpoint
 from diffdag.semdata import GenSpec
 from diffdag.training import MechanismNet, TrainConfig, fit_direct
 
@@ -72,7 +76,7 @@ ROWS = [
     ("TrainConfig", "learning_rate", None, ValueError, None, lambda v: train_config(learning_rate=v)),
     ("TrainConfig", "temperature", None, ValueError, None, lambda v: train_config(temperature=v)),
     ("GenSpec", "n", 2, ValueError, 50, lambda v: gen_spec(n=v)),
-    ("GenSpec", "m", 1, ValueError, 50, lambda v: gen_spec(m=v)),
+    ("GenSpec", "m", 1, ValueError, 50, lambda v: gen_spec(n=11, m=v)),  # 55 edges fit on 11 nodes
     ("GenSpec", "N", 3, ValueError, 10**6, lambda v: gen_spec(N=v)),
     ("GenSpec", "seed", 0, ValueError, 2**32 - 1, lambda v: gen_spec(seed=v)),
     ("GenSpec", "noise_std", None, ValueError, None, lambda v: gen_spec(noise_std=v)),
@@ -145,9 +149,16 @@ def test_accepts_integers_from_the_minimum_and_finite_positive_scales(entry, par
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diffdag"
+_VOCABULARY = r"(\b(SINKHORN|TOPK|ER|SF|PERM_MODES|GRAPH_KINDS)\b|[\"'](sinkhorn|topk|er|sf)[\"'])"
+_NAMED, _FOLDED = r"(modes?|kinds?)\b", r"\.(lower|upper|casefold)\(\)"  # a mode or kind, case-folded
 HAND_WRITTEN_CHECKS = {
     "integer check": re.compile(r"isinstance\([^()]*,\s*bool\)"),
     "scale check": re.compile(r"isfinite\((?P<v>[\w.\[\]\"']+)\)\s+and\s+(?P=v)\s*>\s*0"),
+    # `not in (SINKHORN, TOPK)`, `in ("er", "sf")`, `not in PERM_MODES`, ...
+    "choice check": re.compile(rf"\bin\s+([(\[{{]\s*)?{_VOCABULARY}"),
+    "choices list": re.compile(rf"choices\s*=.*{_VOCABULARY}"),
+    "case folding": re.compile(rf"{_NAMED}.*{_FOLDED}|{_FOLDED}.*{_NAMED}"),
+    "node-count message": re.compile(r"node counts differ"),
 }
 
 
@@ -177,3 +188,74 @@ def test_sinkhorn_tol_must_be_a_finite_real_at_least_0(tol):
 @pytest.mark.parametrize("tol", [0, 0.0, -0.0, 1e-300, 1e-6, np.float32(0.5), np.int64(2), 1e300])
 def test_sinkhorn_accepts_every_finite_tol_at_least_0(tol):
     assert np.allclose(sinkhorn_operator(np.eye(3), iters=3, tol=tol).value.sum(axis=0), 1.0)
+
+
+def _cli_message(argv, tmp_path, capsys) -> str:
+    """The one error line of a run that must exit 2 having written nothing,
+    without argparse's "prog: error: " and "argument --flag: " prefixes."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert exc.value.code == 2 and len(errors) == 1, captured.err
+    assert captured.out == "" and not out.exists()  # nothing ran, nothing written
+    return re.sub(r"^argument [-\w]+: ", "", errors[0].split("error: ", 1)[1])
+
+
+def _api_message(call, error) -> str:
+    with pytest.raises(error) as exc:
+        call()
+    return str(exc.value)
+
+
+def _checkpoint_message(v, tmp_path) -> str:
+    path = tmp_path / "ck.json"
+    save_checkpoint(DpDagModel.create(3), path)
+    path.write_text(json.dumps(json.loads(path.read_text()) | {"perm_mode": v}))
+    return _api_message(lambda: load_checkpoint(path), ParameterError).removeprefix(f"{path}: ")
+
+
+def _api(error, call):
+    return lambda v, tmp_path, capsys: _api_message(lambda: call(v), error)
+
+
+def _cli(*argv):
+    """``argv`` with ``{v}`` standing for the value and ``{tmp}`` for a
+    missing dataset path."""
+    return lambda v, tmp_path, capsys: _cli_message(
+        [a.format(v=v, tmp=tmp_path / "none") for a in argv], tmp_path, capsys
+    )
+
+
+# entry point -> (parameter, the message rejecting v: call(v, tmp_path, capsys))
+CHOICE_ENTRIES = {
+    "PermutationParams": ("mode", _api(ParameterError, lambda v: PermutationParams(n=3, mode=v))),
+    "DpDagModel.create": ("perm_mode", _api(ParameterError, lambda v: DpDagModel.create(3, perm_mode=v))),
+    "TrainConfig": ("perm_mode", _api(ValueError, lambda v: train_config(perm_mode=v))),
+    "GenSpec": ("graph_kind", _api(ValueError, lambda v: gen_spec(graph_kind=v))),
+    "load_checkpoint": ("perm_mode", lambda v, tmp_path, capsys: _checkpoint_message(v, tmp_path)),
+    "train --perm-mode": ("perm_mode", _cli("train", "--dataset", "{tmp}", "--perm-mode", "{v}")),
+    "grid --modes": ("perm_mode", _cli("grid", "--dataset", "{tmp}", "--modes", "topk,{v}")),
+    "bench --modes": ("perm_mode", _cli("bench", "--modes", "{v}")),
+    "generate --kind": ("graph_kind", _cli("generate", "--kind", "{v}", "--n", "4", "--m", "3")),
+    "direct --kind": ("graph_kind", _cli("direct", "--kind", "{v}")),
+    "direct --perm-mode": ("perm_mode", _cli("direct", "--perm-mode", "{v}")),
+}
+# matching is exact: a valid value in another case, a value of the other
+# vocabulary and a non-string all fail; the CLI gets each value's str, and a
+# JSON checkpoint cannot hold bytes
+CHOICE_VALUES = ["TOPK", "ER", "quantum", None, 3, b"topk"]
+CHOICE_CASES = [
+    (entry, v)
+    for entry in CHOICE_ENTRIES
+    for v in CHOICE_VALUES
+    if not (entry == "load_checkpoint" and isinstance(v, bytes))
+]
+
+
+@pytest.mark.parametrize(("entry", "v"), CHOICE_CASES, ids=[f"{e}-{v!r}" for e, v in CHOICE_CASES])
+def test_every_mode_and_kind_entry_point_gives_the_same_verdict(entry, v, tmp_path, capsys):
+    name, reject = CHOICE_ENTRIES[entry]
+    message = reject(v, tmp_path, capsys)
+    assert message.startswith(f"{name} must be "), message

@@ -204,6 +204,8 @@ class TestValidation:
             (["generate", "--kind", "er", "--n", "1", "--m", "1"], "n"),
             (["generate", "--kind", "er", "--n", "4", "--m", "3", "--first-seed", "-1"], "seed"),
             (["direct", "--n", "1", "--m", "1"], "n"),
+            (["generate", "--kind", "sf", "--n", "5", "--m", "30"], "m"),
+            (["direct", "--kind", "sf", "--n", "5", "--m", "30"], "m"),
         ],
     )
     def test_value_the_config_rejects_is_usage_error(self, argv, field, tmp_path, capsys):

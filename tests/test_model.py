@@ -238,6 +238,12 @@ class TestThresholdDag:
         with pytest.raises(ParameterError):
             threshold_dag(make_model(3), 1.0)
 
+    # "0.5" once raised a bare TypeError from the range comparison, naming nothing
+    @pytest.mark.parametrize("t", ["0.5", None, True, float("nan"), b"0.5"])
+    def test_threshold_of_wrong_type_is_named(self, t):
+        with pytest.raises(ParameterError, match="^threshold must be a finite real number"):
+            threshold_dag(make_model(3), t)
+
 
 # every finite float, with -0.0, subnormals and +-1e308 drawn often
 _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

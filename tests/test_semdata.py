@@ -25,9 +25,17 @@ from diffdag.semdata import (
 
 
 class TestGenSpec:
-    def test_er_edge_budget_checked(self):
-        with pytest.raises(ValueError, match="edge count"):
-            GenSpec(graph_kind="er", n=4, m=7)
+    # an sf spec over the bound once built an edgeless graph: round(30 / 5) = 6
+    # edges for each arriving node of 5
+    @pytest.mark.parametrize(("n", "m"), [(4, 7), (5, 11), (5, 30)])
+    @pytest.mark.parametrize("kind", ["er", "sf"])
+    def test_edge_budget_checked(self, kind, n, m):
+        with pytest.raises(ValueError, match="^m must be an edge count"):
+            GenSpec(graph_kind=kind, n=n, m=m)
+
+    @pytest.mark.parametrize("kind", ["er", "sf"])
+    def test_graph_at_the_edge_budget_has_edges(self, kind):
+        assert gen_graph(GenSpec(graph_kind=kind, n=5, m=10)).edge_count() > 0
 
     def test_bad_kind(self):
         with pytest.raises(ValueError, match="graph_kind"):
